@@ -3,6 +3,7 @@
 //! thread executor.
 
 use cordoba_engine::{run_once, thread_exec, EngineConfig, Policy};
+use cordoba_exec::ParallelConfig;
 use cordoba_storage::tpch::{generate, TpchConfig};
 use cordoba_storage::Catalog;
 use cordoba_workload::{q6, CostProfile};
@@ -50,7 +51,10 @@ fn threaded_batch(c: &mut Criterion) {
         b.iter(|| thread_exec::run_shared(&cat, &spec, 4).results.len())
     });
     g.bench_function("unshared", |b| {
-        b.iter(|| thread_exec::run_unshared(&cat, &spec, 4, 2).results.len())
+        b.iter(|| {
+            thread_exec::run_unshared_parallel(&cat, &spec, 4, 2, &ParallelConfig::default())
+                .map(|r| r.results.len())
+        })
     });
     g.finish();
 }

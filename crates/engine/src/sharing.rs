@@ -41,7 +41,7 @@ pub fn split_at_pivot(
     if plan == pivot {
         return Ok(None);
     }
-    let schema = pivot.output_schema(catalog);
+    let schema = pivot.try_output_schema(catalog)?;
     let mut replaced = false;
     let fragment = replace_first(plan, pivot, &SchemaRef(schema), &mut replaced);
     if !replaced {
@@ -76,7 +76,7 @@ pub fn split_with_residual(
     // residual filter restores member-pivot semantics above it. The
     // filter is priced like the member's own outermost peeled filter:
     // the residual work is real per-tuple selection-vector work.
-    let schema = SchemaRef(group_pivot.output_schema(catalog));
+    let schema = SchemaRef(group_pivot.try_output_schema(catalog)?);
     let residual_cost = peel_filters(own_pivot).filter_cost.unwrap_or_default();
     let filtered_source = PhysicalPlan::Filter {
         input: Box::new(PhysicalPlan::Source {

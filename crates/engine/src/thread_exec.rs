@@ -1,66 +1,61 @@
-//! Real-thread executor: the same shared-scan machinery on OS threads.
+//! Real-thread executor: the engine's share-or-not choice on OS threads.
 //!
 //! The simulator is the measurement substrate (deterministic, scales to
-//! 32 contexts on any host); this module demonstrates that the engine's
-//! sharing design also runs on real hardware. Unshared mode executes
-//! each query on a worker thread; shared mode runs the pivot sub-plan
-//! once on a producer thread that fans pages out to every consumer over
-//! bounded channels — paying the real (wall-clock) per-consumer cost the
-//! model calls `s`.
+//! 32 contexts on any host); this module runs the same choice on real
+//! hardware, with the vectorized morsel kernels of
+//! [`cordoba_exec::parallel`] on both sides:
+//!
+//! * **unshared** — [`run_unshared_parallel`] runs every query's whole
+//!   plan privately, each on its own morsel workers;
+//! * **shared** — [`run_shared`] evaluates the pivot sub-plan once and
+//!   a producer hands its pages to every consumer over bounded
+//!   channels, one consumer after another — the real (wall-clock)
+//!   per-consumer cost the model calls `s`. The unit of hand-off is a
+//!   shared slice of [`HANDOFF_PAGES`] `Arc<Page>`s, so the fan-out
+//!   copies pointers, never rows. Each consumer registers the pages it
+//!   received as a table and runs its private fragment over them on
+//!   one morsel worker, which folds pages in order and so stays
+//!   bit-exact with the reference executor.
 
 use crate::query::QuerySpec;
 use crate::sharing::split_at_pivot;
-use cordoba_exec::{parallel, reference, ExecError, ParallelConfig, PhysicalPlan};
-use cordoba_storage::{Catalog, Page, Table, TableBuilder, Value};
+use cordoba_exec::{parallel, ExecError, MemoryBroker, ParallelConfig, PhysicalPlan};
+use cordoba_storage::{Catalog, Page, Schema, Table, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
+/// Pivot pages per hand-off. Each hand-off costs one channel send, and
+/// often one consumer wake-up, per consumer. Measured with wallbench's
+/// `threads_scan_shared` (Q6 over a ~1,900-page `lineitem`, 8
+/// consumers) on 2 vCPUs, 5 s per run, 2–3 runs per size, in queries
+/// per second: 1 page 116–125, 4 pages 293–327, 16 pages 393–417,
+/// 32 pages 427–491, 64 pages 453–484, 256 pages 488–517. The gain
+/// flattens at 64, which still splits Q6's pivot into ~30 hand-offs.
+pub const HANDOFF_PAGES: usize = 64;
+
+/// Hand-offs buffered per consumer channel before the producer blocks
+/// (at 64-page hand-offs, 4 and 16 measured alike and 1 was ~7% slower).
+const CHANNEL_HANDOFFS: usize = 16;
+
+/// Name the received pivot pages are registered under in a consumer's
+/// catalog.
+const SHARED_SRC: &str = "__shared_src";
+
+/// One hand-off: consecutive pivot pages, shared by every consumer.
+type Handoff = Arc<[Arc<Page>]>;
+
 /// Outcome of a threaded run.
 #[derive(Debug)]
 pub struct ThreadReport {
-    /// Result rows per query, in submission order.
+    /// Result rows per query, in submission order; empty for a failed
+    /// query.
     pub results: Vec<Vec<Vec<Value>>>,
+    /// Failed queries: submission index and the typed error.
+    pub failures: Vec<(usize, ExecError)>,
     /// Wall-clock duration of the batch.
     pub elapsed: Duration,
-}
-
-/// Executes `m` copies of `spec` without sharing on up to `threads`
-/// worker threads.
-pub fn run_unshared(catalog: &Catalog, spec: &QuerySpec, m: usize, threads: usize) -> ThreadReport {
-    let start = Instant::now();
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<Vec<Vec<Value>>>> = vec![None; m];
-    let mut slots: Vec<_> = results.iter_mut().collect();
-    thread::scope(|scope| {
-        let (done_tx, done_rx) = mpsc::sync_channel::<(usize, Vec<Vec<Value>>)>(m.max(1));
-        for _ in 0..threads.max(1).min(m.max(1)) {
-            let done_tx = done_tx.clone();
-            let next = &next;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= m {
-                    break;
-                }
-                let rows = reference::execute(catalog, &spec.plan);
-                // lint: allow(receiver drains inside this scope, so the channel cannot sever)
-                done_tx.send((i, rows)).expect("collector alive");
-            });
-        }
-        drop(done_tx);
-        for (i, rows) in done_rx {
-            *slots[i] = Some(rows);
-        }
-    });
-    ThreadReport {
-        results: results
-            .into_iter()
-            // lint: allow(fetch_add hands indexes 0..m to workers exactly once, filling every slot)
-            .map(|r| r.expect("all queries ran"))
-            .collect(),
-        elapsed: start.elapsed(),
-    }
 }
 
 /// Executes `m` copies of `spec` without sharing, each query running
@@ -68,10 +63,8 @@ pub fn run_unshared(catalog: &Catalog, spec: &QuerySpec, m: usize, threads: usiz
 /// own. `threads` bounds how many *queries* run concurrently, so total
 /// thread pressure is `threads × workers`.
 ///
-/// This is the unshared baseline the contention re-fit measures: the
-/// same queries as [`run_unshared`], but each one spreading its scan →
-/// filter → project → aggregate work across morsel workers instead of a
-/// single thread of control.
+/// This is the unshared baseline both the contention re-fit and the
+/// shared-vs-unshared comparison measure.
 pub fn run_unshared_parallel(
     catalog: &Catalog,
     spec: &QuerySpec,
@@ -121,6 +114,7 @@ pub fn run_unshared_parallel(
             // lint: allow(fetch_add hands indexes 0..m to workers exactly once, filling every slot)
             .map(|r| r.expect("all queries ran"))
             .collect(),
+        failures: Vec::new(),
         elapsed: start.elapsed(),
     })
 }
@@ -149,86 +143,119 @@ pub fn worker_scaling_samples(
     Ok(samples)
 }
 
-/// Executes `m` copies of `spec` with the pivot sub-plan shared: one
-/// producer thread evaluates the pivot once and fans its pages out to
-/// `m` consumer threads over bounded channels.
+/// Executes `m` copies of `spec` with the pivot sub-plan shared: the
+/// pivot is evaluated once, and its pages are fanned out to `m`
+/// consumer threads, each of which runs the private fragment above the
+/// pivot.
 ///
-/// # Panics
-///
-/// Panics if `spec` has no pivot.
+/// Failures are typed and per query. A missing pivot, a pivot that does
+/// not split `spec.plan`, or a pivot that fails to execute fails all
+/// `m` queries; a consumer whose fragment fails fails only its own.
 pub fn run_shared(catalog: &Catalog, spec: &QuerySpec, m: usize) -> ThreadReport {
-    // lint: allow(documented '# Panics' contract of this harness entry point)
-    let pivot = spec.pivot.as_ref().expect("shared run needs a pivot");
     let start = Instant::now();
-    // lint: allow(pivot came out of this same plan, so the split always finds it)
-    let fragment = split_at_pivot(&spec.plan, pivot, catalog).expect("pivot sub-plan not found");
-
-    // The pivot executes once (producer side).
-    let pivot_table = reference::execute_table(catalog, pivot);
-
-    let mut results: Vec<Option<Vec<Vec<Value>>>> = vec![None; m];
-    let mut slots: Vec<_> = results.iter_mut().collect();
-    thread::scope(|scope| {
-        // One bounded channel per consumer: the fan-out serialization
-        // point of the model.
-        let mut txs = Vec::with_capacity(m);
-        let (done_tx, done_rx) = mpsc::sync_channel::<(usize, Vec<Vec<Value>>)>(m.max(1));
-        for i in 0..m {
-            let (tx, rx) = mpsc::sync_channel::<Arc<Page>>(16);
-            txs.push(tx);
-            let fragment = fragment.clone();
-            let done_tx = done_tx.clone();
-            let pivot_schema = pivot_table.schema().clone();
-            scope.spawn(move || {
-                // Materialize the received stream, then run the private
-                // fragment over it (Source replaced by a scan of the
-                // received pages).
-                let mut received = TableBuilder::new("__shared_src", pivot_schema);
-                for page in rx {
-                    for t in page.tuples() {
-                        received.push_row(&t.to_values());
-                    }
-                }
-                let rows = match &fragment {
-                    Some(frag) => {
-                        let mut local = catalog.clone();
-                        local.register(received.finish());
-                        let plan = substitute_source(frag, "__shared_src");
-                        reference::execute(&local, &plan)
-                    }
-                    None => table_rows(&received.finish()),
-                };
-                // lint: allow(receiver drains inside this scope, so the channel cannot sever)
-                done_tx.send((i, rows)).expect("collector alive");
-            });
-        }
-        drop(done_tx);
-        // Producer: deliver every page to every consumer, sequentially —
-        // exactly the pivot's M·s serialization.
-        scope.spawn(move || {
-            for page in pivot_table.pages() {
-                for tx in &txs {
-                    // lint: allow(consumers drain their channel until the producer hangs up)
-                    tx.send(page.clone()).expect("consumer alive");
-                }
+    let outcomes = match share_pivot(catalog, spec) {
+        Ok((fragment, pivot)) => fan_out(catalog, fragment.as_ref(), &pivot, m),
+        Err(e) => vec![Err(e); m],
+    };
+    let mut report = ThreadReport {
+        results: Vec::with_capacity(m),
+        failures: Vec::new(),
+        elapsed: Duration::ZERO,
+    };
+    for (i, outcome) in outcomes.into_iter().enumerate() {
+        match outcome {
+            Ok(rows) => report.results.push(rows),
+            Err(e) => {
+                report.results.push(Vec::new());
+                report.failures.push((i, e));
             }
-        });
-        for (i, rows) in done_rx {
-            *slots[i] = Some(rows);
         }
-    });
-    ThreadReport {
-        results: results
-            .into_iter()
-            // lint: allow(every consumer 0..m sends exactly one result before exiting)
-            .map(|r| r.expect("all consumers reported"))
-            .collect(),
-        elapsed: start.elapsed(),
     }
+    report.elapsed = start.elapsed();
+    report
 }
 
-fn table_rows(table: &Arc<Table>) -> Vec<Vec<Value>> {
-    table.scan_values().collect()
+/// The producer side of a shared run: the consumers' fragment (reading
+/// [`SHARED_SRC`] where the pivot was; `None` when the whole plan is
+/// shared) and the pivot's output, evaluated once.
+fn share_pivot(
+    catalog: &Catalog,
+    spec: &QuerySpec,
+) -> Result<(Option<PhysicalPlan>, Arc<Table>), ExecError> {
+    let pivot = spec
+        .pivot
+        .as_ref()
+        .ok_or_else(|| ExecError::plan("shared run needs a pivot"))?;
+    let fragment = split_at_pivot(&spec.plan, pivot, catalog)?;
+    let table = parallel::execute_table(
+        catalog,
+        pivot,
+        &ParallelConfig::default(),
+        &MemoryBroker::unbounded(),
+    )?;
+    Ok((fragment.map(|f| substitute_source(&f, SHARED_SRC)), table))
+}
+
+/// Spawns `m` consumers and, on the calling thread, delivers every
+/// hand-off of `pivot` to each of them in turn — the pivot's `M·s`
+/// serialization. Returns each consumer's outcome in consumer order.
+fn fan_out(
+    catalog: &Catalog,
+    fragment: Option<&PhysicalPlan>,
+    pivot: &Table,
+    m: usize,
+) -> Vec<Result<Vec<Vec<Value>>, ExecError>> {
+    thread::scope(|scope| {
+        let mut txs = Vec::with_capacity(m);
+        let consumers: Vec<_> = (0..m)
+            .map(|_| {
+                let (tx, rx) = mpsc::sync_channel::<Handoff>(CHANNEL_HANDOFFS);
+                txs.push(tx);
+                let schema = pivot.schema().clone();
+                scope.spawn(move || consume(catalog, fragment, schema, rx))
+            })
+            .collect();
+        for pages in pivot.pages().chunks(HANDOFF_PAGES) {
+            let handoff: Handoff = pages.into();
+            // A closed channel means its consumer is gone; stop feeding it.
+            txs.retain(|tx| tx.send(handoff.clone()).is_ok());
+        }
+        drop(txs);
+        consumers
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
+}
+
+/// One consumer: collects the hand-offs until the producer hangs up,
+/// registers the pages as [`SHARED_SRC`] and runs `fragment` over them.
+fn consume(
+    catalog: &Catalog,
+    fragment: Option<&PhysicalPlan>,
+    schema: Arc<Schema>,
+    rx: mpsc::Receiver<Handoff>,
+) -> Result<Vec<Vec<Value>>, ExecError> {
+    let mut pages = Vec::new();
+    for handoff in rx {
+        pages.extend(handoff.iter().cloned());
+    }
+    let received = Table::from_pages(SHARED_SRC, schema, pages);
+    let Some(fragment) = fragment else {
+        return Ok(received.scan_values().collect());
+    };
+    let mut local = catalog.clone();
+    local.register(received);
+    let out = parallel::execute_table(
+        &local,
+        fragment,
+        &ParallelConfig::default(),
+        &MemoryBroker::unbounded(),
+    )?;
+    Ok(out.scan_values().collect())
 }
 
 /// Replaces every [`PhysicalPlan::Source`] leaf with a scan of `table`.
@@ -268,47 +295,100 @@ fn substitute_source(plan: &PhysicalPlan, table: &str) -> PhysicalPlan {
 mod tests {
     use super::*;
     use cordoba_exec::expr::{Agg, CmpOp, Predicate, ScalarExpr};
-    use cordoba_exec::OpCost;
-    use cordoba_storage::{DataType, Field, Schema};
+    use cordoba_exec::{reference, OpCost};
+    use cordoba_storage::{DataType, Field, TableBuilder};
+
+    /// Small pages, so the pivot spans several hand-offs and ends in a
+    /// partial one.
+    const PAGE_BYTES: usize = 256;
 
     fn catalog() -> Catalog {
         let schema = Schema::new(vec![
             Field::new("k", DataType::Int),
             Field::new("v", DataType::Float),
+            Field::new("g", DataType::Int),
+            Field::new("x", DataType::Float),
         ]);
-        let mut b = TableBuilder::new("t", schema);
+        let mut b = TableBuilder::with_page_size("t", schema, PAGE_BYTES);
         for i in 0..2000 {
-            b.push_row(&[Value::Int(i), Value::Float((i % 13) as f64)]);
+            // `x` is inexact: a sum in any other order changes its bits.
+            let x = ((i * 7919) % 1000) as f64 * 0.01 + 0.003;
+            b.push_row(&[
+                Value::Int(i),
+                Value::Float((i % 13) as f64),
+                Value::Int(i % 5),
+                Value::Float(x),
+            ]);
         }
         let mut c = Catalog::new();
         c.register(b.finish());
         c
     }
 
-    fn query() -> QuerySpec {
-        let scan = PhysicalPlan::Scan {
+    fn scan() -> PhysicalPlan {
+        PhysicalPlan::Scan {
             table: "t".into(),
             cost: OpCost::default(),
-        };
-        let plan = PhysicalPlan::Aggregate {
-            input: Box::new(PhysicalPlan::Filter {
-                input: Box::new(scan.clone()),
-                predicate: Predicate::col_cmp(0, CmpOp::Lt, 1000i64),
-                cost: OpCost::default(),
-            }),
-            group_by: vec![],
-            aggs: vec![("s".into(), Agg::Sum(ScalarExpr::col(1)))],
+        }
+    }
+
+    fn filter(input: PhysicalPlan, predicate: Predicate) -> PhysicalPlan {
+        PhysicalPlan::Filter {
+            input: Box::new(input),
+            predicate,
             cost: OpCost::default(),
-        };
-        QuerySpec::shared_at("tq", plan, scan)
+        }
+    }
+
+    fn aggregate(input: PhysicalPlan, group_by: Vec<usize>, aggs: Vec<Agg>) -> PhysicalPlan {
+        PhysicalPlan::Aggregate {
+            input: Box::new(input),
+            group_by,
+            aggs: aggs
+                .into_iter()
+                .enumerate()
+                .map(|(i, a)| (format!("a{i}"), a))
+                .collect(),
+            cost: OpCost::default(),
+        }
+    }
+
+    fn sum(col: usize) -> Agg {
+        Agg::Sum(ScalarExpr::col(col))
+    }
+
+    fn query() -> QuerySpec {
+        let plan = aggregate(
+            filter(scan(), Predicate::col_cmp(0, CmpOp::Lt, 1000i64)),
+            vec![],
+            vec![sum(1)],
+        );
+        QuerySpec::shared_at("tq", plan, scan())
+    }
+
+    /// Rows with every float replaced by its bit pattern, so `==` is
+    /// bit-exact.
+    fn float_bits(rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
+        rows.iter()
+            .map(|row| {
+                row.iter()
+                    .map(|v| match v {
+                        Value::Float(f) => Value::Int(f.to_bits() as i64),
+                        v => v.clone(),
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
     fn unshared_threads_match_reference() {
         let cat = catalog();
         let expected = reference::execute(&cat, &query().plan);
-        let report = run_unshared(&cat, &query(), 4, 2);
+        let report =
+            run_unshared_parallel(&cat, &query(), 4, 2, &ParallelConfig::default()).unwrap();
         assert_eq!(report.results.len(), 4);
+        assert!(report.failures.is_empty());
         for r in &report.results {
             assert_eq!(r, &expected);
         }
@@ -317,11 +397,104 @@ mod tests {
     #[test]
     fn shared_threads_match_reference() {
         let cat = catalog();
-        let expected = reference::execute(&cat, &query().plan);
-        let report = run_shared(&cat, &query(), 4);
-        assert_eq!(report.results.len(), 4);
-        for r in &report.results {
-            assert_eq!(r, &expected);
+        let pages = cat.expect("t").pages().len();
+        assert!(
+            pages > HANDOFF_PAGES && !pages.is_multiple_of(HANDOFF_PAGES),
+            "fixture must end in a partial hand-off: {pages} pages"
+        );
+        let empty = filter(scan(), Predicate::col_cmp(0, CmpOp::Lt, 0i64));
+        // A family-style pivot: the whole selection window is shared.
+        let window = filter(
+            scan(),
+            Predicate::And(vec![
+                Predicate::col_cmp(0, CmpOp::Ge, 100i64),
+                Predicate::col_cmp(0, CmpOp::Lt, 1700i64),
+                Predicate::col_cmp(3, CmpOp::Ge, 1.0),
+                Predicate::col_cmp(3, CmpOp::Le, 8.0),
+            ]),
+        );
+        let revenue = Agg::Sum(ScalarExpr::Mul(
+            Box::new(ScalarExpr::col(3)),
+            Box::new(ScalarExpr::FloatLit(0.07)),
+        ));
+        // Q1-style: grouped float sums over a filtered scan.
+        let q1 = aggregate(
+            filter(scan(), Predicate::col_cmp(0, CmpOp::Lt, 1800i64)),
+            vec![2],
+            vec![
+                Agg::Count,
+                sum(3),
+                revenue.clone(),
+                Agg::Avg(ScalarExpr::col(3)),
+            ],
+        );
+        let q = query();
+        let cases = [
+            ("scan pivot, partial last hand-off", q.clone()),
+            (
+                "empty pivot",
+                QuerySpec::shared_at("e", aggregate(empty.clone(), vec![], vec![sum(1)]), empty),
+            ),
+            (
+                "filter-chain pivot",
+                QuerySpec::shared_at(
+                    "f",
+                    aggregate(window.clone(), vec![], vec![revenue]),
+                    window,
+                ),
+            ),
+            (
+                "whole plan",
+                QuerySpec::shared_at("w", q.plan.clone(), q.plan.clone()),
+            ),
+            ("grouped float sums", QuerySpec::shared_at("q1", q1, scan())),
+        ];
+        for (case, spec) in &cases {
+            let expected = float_bits(&reference::execute(&cat, &spec.plan));
+            for m in [1, 8] {
+                let report = run_shared(&cat, spec, m);
+                assert!(
+                    report.failures.is_empty(),
+                    "{case}, m={m}: {:?}",
+                    report.failures
+                );
+                assert_eq!(report.results.len(), m, "{case}, m={m}");
+                for r in &report.results {
+                    assert_eq!(float_bits(r), expected, "{case}, m={m}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_failures_are_typed_per_query() {
+        let q = query();
+        let bad_column = aggregate(scan(), vec![], vec![Agg::Sum(ScalarExpr::col(9))]);
+        let specs = [
+            QuerySpec::unshared("no pivot", q.plan.clone()),
+            QuerySpec {
+                pivot: Some(filter(scan(), Predicate::col_cmp(0, CmpOp::Gt, 7i64))),
+                ..QuerySpec::unshared("pivot not in plan", q.plan.clone())
+            },
+            QuerySpec::shared_at("fragment does not compile", bad_column, scan()),
+        ];
+        for spec in specs {
+            for m in [1, 8] {
+                let (tx, rx) = mpsc::channel();
+                let name = &spec.name;
+                let owned = spec.clone();
+                let runner = thread::spawn(move || tx.send(run_shared(&catalog(), &owned, m)));
+                let report = rx
+                    .recv_timeout(Duration::from_secs(60))
+                    .unwrap_or_else(|e| panic!("{name}, m={m}: no report ({e})"));
+                runner.join().unwrap().unwrap();
+                assert_eq!(report.results, vec![Vec::<Vec<Value>>::new(); m], "{name}");
+                let failed: Vec<usize> = report.failures.iter().map(|(i, _)| *i).collect();
+                assert_eq!(failed, (0..m).collect::<Vec<_>>(), "{name}, m={m}");
+                for (_, e) in &report.failures {
+                    assert!(matches!(e, ExecError::PlanType(_)), "{name}: {e:?}");
+                }
+            }
         }
     }
 
@@ -348,18 +521,6 @@ mod tests {
         assert_eq!(samples[1].0, 2);
         for (k, x) in samples {
             assert!(x > 0.0, "throughput at k={k} must be positive, got {x}");
-        }
-    }
-
-    #[test]
-    fn whole_plan_sharing_over_threads() {
-        let cat = catalog();
-        let q = query();
-        let whole = QuerySpec::shared_at("whole", q.plan.clone(), q.plan.clone());
-        let expected = reference::execute(&cat, &q.plan);
-        let report = run_shared(&cat, &whole, 3);
-        for r in &report.results {
-            assert_eq!(r, &expected);
         }
     }
 }

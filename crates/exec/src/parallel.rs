@@ -599,9 +599,23 @@ pub fn execute_plan_with_broker(
     cfg: &ParallelConfig,
     broker: &MemoryBroker,
 ) -> Result<Vec<Vec<Value>>, ExecError> {
+    Ok(execute_table(catalog, plan, cfg, broker)?
+        .scan_values()
+        .collect())
+}
+
+/// Executes `plan` with the morsel-parallel kernels and returns its
+/// output as a table, charging hash-join build memory to `broker`
+/// (released before returning). A bare scan returns the scanned
+/// table's own `Arc` pages: nothing is decoded or copied.
+pub fn execute_table(
+    catalog: &Catalog,
+    plan: &PhysicalPlan,
+    cfg: &ParallelConfig,
+    broker: &MemoryBroker,
+) -> Result<Arc<Table>, ExecError> {
     let mut scratch = catalog.clone();
-    let table = materialize(&mut scratch, plan, cfg, broker, &mut 0)?;
-    Ok(table.scan_values().collect())
+    materialize(&mut scratch, plan, cfg, broker, &mut 0)
 }
 
 /// The pipeline-able fragment rooted at `plan`: the scanned table name
@@ -902,6 +916,16 @@ mod tests {
                 execute_plan(&cat, &plan, &ParallelConfig::with_workers(workers)).expect("runs");
             assert_eq!(got, want, "workers={workers}: row-for-row");
         }
+    }
+
+    #[test]
+    fn bare_scan_table_shares_the_catalog_pages() {
+        let cat = catalog();
+        let broker = MemoryBroker::unbounded();
+        let got = execute_table(&cat, &scan(), &ParallelConfig::default(), &broker).expect("runs");
+        let own = cat.expect("t").pages();
+        assert_eq!(got.pages().len(), own.len());
+        assert!(got.pages().iter().zip(own).all(|(a, b)| Arc::ptr_eq(a, b)));
     }
 
     #[test]

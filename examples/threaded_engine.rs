@@ -1,11 +1,13 @@
 //! Real-thread shared scan: the engine's sharing machinery on OS
 //! threads with wall-clock timing (the simulator is the measurement
 //! substrate for the paper's figures; this shows the design also runs
-//! on real hardware).
+//! on real hardware). Both sides run the vectorized morsel kernels, so
+//! the comparison isolates sharing itself.
 //!
 //! Run with: `cargo run --release --example threaded_engine`
 
-use cordoba::engine::thread_exec::{run_shared, run_unshared};
+use cordoba::engine::thread_exec::{run_shared, run_unshared_parallel};
+use cordoba::exec::ParallelConfig;
 use cordoba::storage::tpch::{generate, TpchConfig};
 use cordoba::workload::{q6, CostProfile};
 
@@ -18,7 +20,9 @@ fn main() {
         .unwrap_or(2);
 
     println!("running {m} copies of Q6 over {host_threads} host threads...\n");
-    let unshared = run_unshared(&catalog, &spec, m, host_threads);
+    let unshared =
+        run_unshared_parallel(&catalog, &spec, m, host_threads, &ParallelConfig::default())
+            .expect("Q6 runs unshared");
     let shared = run_shared(&catalog, &spec, m);
 
     assert_eq!(
