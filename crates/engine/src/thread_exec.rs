@@ -443,10 +443,6 @@ mod tests {
                     window,
                 ),
             ),
-            (
-                "whole plan",
-                QuerySpec::shared_at("w", q.plan.clone(), q.plan.clone()),
-            ),
             ("grouped float sums", QuerySpec::shared_at("q1", q1, scan())),
         ];
         for (case, spec) in &cases {
@@ -462,6 +458,22 @@ mod tests {
                 for r in &report.results {
                     assert_eq!(float_bits(r), expected, "{case}, m={m}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn whole_plan_sharing_over_threads() {
+        let cat = catalog();
+        let q = query();
+        let whole = QuerySpec::shared_at("whole", q.plan.clone(), q.plan.clone());
+        let expected = float_bits(&reference::execute(&cat, &q.plan));
+        for m in [1, 3, 8] {
+            let report = run_shared(&cat, &whole, m);
+            assert!(report.failures.is_empty(), "m={m}: {:?}", report.failures);
+            assert_eq!(report.results.len(), m, "m={m}");
+            for r in &report.results {
+                assert_eq!(float_bits(r), expected, "m={m}");
             }
         }
     }
