@@ -22,14 +22,18 @@
 //!   (paper Section 8): the model-guided policy admits a query into a
 //!   sharing group only if the analytical model predicts a net win for
 //!   the expanded group.
-//! * [`runner`] — a closed-system client harness (every completed query
-//!   is immediately resubmitted — the Little's Law regime of
-//!   Section 1.2) measuring throughput on the simulated CMP.
-//! * [`service`] — the open-system service loop: arrivals pass a
-//!   bounded admission queue (typed rejection when full), the sharing
-//!   policy acts as a per-arrival merge controller, and every offered
-//!   query gets an explicit disposition (completed / failed / rejected
-//!   / in flight) so tail-latency accounting always balances.
+//! * [`runner`] — the simulator set-up every run shares, the
+//!   closed-system client harness (every completed query is immediately
+//!   resubmitted — the Little's Law regime of Section 1.2) measuring
+//!   throughput on the simulated CMP, and one-shot t=0 batches
+//!   ([`run_once`] → [`OnceOutcome`]).
+//! * [`service`] — the open-system loop (Section 5.1): queries arrive
+//!   on an [`ArrivalSchedule`] and pass an admission queue, bounded
+//!   (typed rejection when full) or unbounded; the sharing policy acts
+//!   as a per-arrival merge controller, and every offered query gets an
+//!   explicit disposition (completed / failed / rejected / in flight)
+//!   in one [`ServiceReport`], so tail-latency accounting always
+//!   balances.
 //! * [`profiling`] — the paper's Section 3.1 parameter estimation:
 //!   profile a query with and without sharing, solve for each
 //!   operator's `p` and the pivot's `(w, s)`, and emit a
@@ -55,8 +59,10 @@ pub use fragment_cache::{CachedFragment, FragmentCache};
 pub use policy::{OverlapInfo, Policy, QueryModelInfo};
 pub use query::QuerySpec;
 pub use runner::{
-    measure_throughput, poisson_arrivals, run_closed_loop, run_once, run_once_capped,
-    run_open_loop, run_open_loop_collecting, ArrivalSchedule, ClosedLoop, Disposition,
-    EngineConfig, OnceOutcome, OpenReport, RunReport, SharingCounters, Throughput,
+    measure_throughput, run_once, run_once_capped, ClosedLoop, EngineConfig, OnceOutcome,
+    SharingCounters, Throughput,
 };
-pub use service::{run_service, ServiceConfig, ServiceReport};
+pub use service::{
+    run_open_loop_collecting, run_service, ArrivalSchedule, Disposition, ServiceConfig,
+    ServiceReport,
+};

@@ -1,17 +1,20 @@
-//! Closed-system execution harness and one-shot runs.
+//! Closed-system measurement harness and one-shot batch runs.
 //!
-//! The closed-loop runner is the paper's measurement rig: `m` clients
-//! each keep one query in flight (a completed query is immediately
-//! replaced — Little's Law, Section 1.2); throughput is completions per
-//! unit of virtual time over a measurement window on an `n`-context
-//! simulated CMP.
+//! [`ClosedLoop`] and [`measure_throughput`] are the paper's
+//! measurement rig: `m` clients each keep one query in flight (a
+//! completed query is immediately replaced — Little's Law, Section
+//! 1.2); throughput is completions per unit of virtual time over a
+//! measurement window on an `n`-context simulated CMP. [`run_once`]
+//! runs a batch submitted at t=0 to completion and returns its result
+//! rows. Open systems, where queries arrive on a schedule, are
+//! [`crate::service`]'s.
 
 use crate::dispatcher::{DispatcherTask, EngineCore};
 use crate::policy::Policy;
 use crate::query::QuerySpec;
 use cordoba_exec::wiring::WiringConfig;
 use cordoba_exec::{ExecError, MemoryConfig, OpCost, ParallelConfig};
-use cordoba_sim::{Histogram, RunOutcome, SimStats, Simulator, StopReason, VTime};
+use cordoba_sim::{RunOutcome, SimStats, Simulator, StopReason, VTime};
 use cordoba_storage::{Catalog, Value};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -32,11 +35,6 @@ pub struct EngineConfig {
     pub window: VTime,
     /// Maximum members per sharing group.
     pub max_group: usize,
-    /// Virtual run length for closed-loop measurements.
-    pub duration: VTime,
-    /// Fraction of `duration` discarded as warm-up when computing
-    /// throughput.
-    pub warmup_fraction: f64,
     /// Cost charged by the client-side sink per result tuple.
     pub sink_cost: OpCost,
     /// Per-query memory policy: budget, spill directory, and the
@@ -62,8 +60,6 @@ impl Default for EngineConfig {
             policy: Policy::NeverShare,
             window: 2_000,
             max_group: 64,
-            duration: 50_000_000,
-            warmup_fraction: 0.2,
             sink_cost: OpCost::per_tuple(0.1),
             memory: MemoryConfig::default(),
             // Consults CORDOBA_WORKERS (default 1) — see
@@ -106,68 +102,18 @@ impl SharingCounters {
     }
 }
 
-/// Outcome of a closed-loop run.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Virtual duration of the run.
-    pub duration: VTime,
-    /// Start of the measurement window.
-    pub warmup: VTime,
-    /// `(completion time, query name)` for every finished query.
-    pub completions: Vec<(VTime, String)>,
-    /// Machine statistics.
-    pub stats: SimStats,
-    /// Sizes of the sharing groups that were dispatched.
-    pub group_sizes: Vec<usize>,
-    /// `(submission id, error)` for queries that failed instead of
-    /// completing (rejected plans and runtime faults).
-    pub failures: Vec<(usize, ExecError)>,
-    /// Fingerprint-cache and subsumption activity.
-    pub sharing: SharingCounters,
-}
-
-impl RunReport {
-    /// Completions inside the measurement window.
-    pub fn measured_completions(&self) -> usize {
-        self.completions
-            .iter()
-            .filter(|(t, _)| *t >= self.warmup)
-            .count()
-    }
-
-    /// Throughput in queries per unit of virtual time, over the
-    /// measurement window.
-    pub fn throughput(&self) -> f64 {
-        let window = (self.duration - self.warmup) as f64;
-        self.measured_completions() as f64 / window
-    }
-
-    /// Throughput restricted to one query name.
-    pub fn throughput_of(&self, name: &str) -> f64 {
-        let window = (self.duration - self.warmup) as f64;
-        self.completions
-            .iter()
-            .filter(|(t, n)| *t >= self.warmup && n == name)
-            .count() as f64
-            / window
-    }
-
-    /// Mean dispatched group size (1.0 under never-share).
-    pub fn mean_group_size(&self) -> f64 {
-        if self.group_sizes.is_empty() {
-            return 0.0;
-        }
-        self.group_sizes.iter().sum::<usize>() as f64 / self.group_sizes.len() as f64
-    }
-}
-
-pub(crate) fn build_core(
+/// Sets up one simulated run: a fresh engine core with `initial`
+/// submitted at t=0 and the dispatcher task spawned. `resubmit` makes
+/// the system closed (every completion is resubmitted); `collect`
+/// keeps every query's result pages for [`collected_rows`].
+pub(crate) fn start(
     catalog: &Catalog,
     cfg: &EngineConfig,
+    initial: &[QuerySpec],
     resubmit: bool,
     collect: bool,
-) -> Rc<RefCell<EngineCore>> {
-    Rc::new(RefCell::new(EngineCore {
+) -> (Simulator, Rc<RefCell<EngineCore>>) {
+    let core = Rc::new(RefCell::new(EngineCore {
         catalog: Rc::new(catalog.clone()),
         wiring: WiringConfig {
             queue_capacity: cfg.queue_capacity,
@@ -197,34 +143,33 @@ pub(crate) fn build_core(
             .then(|| crate::fragment_cache::FragmentCache::new(cfg.fragment_cache)),
         subsume_joins: 0,
         pivot_widenings: 0,
-    }))
-}
-
-/// Runs `clients` as a closed system for `cfg.duration` virtual time and
-/// reports throughput. Each entry of `clients` is one client's query
-/// (submitted at t=0 and resubmitted on every completion).
-pub fn run_closed_loop(catalog: &Catalog, clients: &[QuerySpec], cfg: &EngineConfig) -> RunReport {
-    let core = build_core(catalog, cfg, true, false);
-    let mut sim = Simulator::new(cfg.contexts);
-    for spec in clients {
+    }));
+    for spec in initial {
         core.borrow_mut().submit(spec.clone());
     }
+    let mut sim = Simulator::new(cfg.contexts);
     let dispatcher = sim.spawn(
         "dispatcher",
         Box::new(DispatcherTask { core: core.clone() }),
     );
     core.borrow_mut().dispatcher = Some(dispatcher);
-    sim.run(Some(cfg.duration));
-    let core = core.borrow();
-    RunReport {
-        duration: cfg.duration,
-        warmup: (cfg.duration as f64 * cfg.warmup_fraction) as VTime,
-        completions: core.completions.clone(),
-        stats: sim.stats(),
-        group_sizes: core.group_sizes.clone(),
-        failures: core.failures.clone(),
-        sharing: SharingCounters::from_core(&core),
-    }
+    (sim, core)
+}
+
+/// Result rows per submission, in submission order; empty when the run
+/// was started without collection.
+pub(crate) fn collected_rows(core: &EngineCore) -> Vec<Vec<Vec<Value>>> {
+    core.collect.as_ref().map_or_else(Vec::new, |buffers| {
+        buffers
+            .iter()
+            .map(|buf| {
+                buf.borrow()
+                    .iter()
+                    .flat_map(|p| p.tuples().map(|t| t.to_values()).collect::<Vec<_>>())
+                    .collect()
+            })
+            .collect()
+    })
 }
 
 /// An incrementally-runnable closed-loop system, for adaptive
@@ -240,16 +185,7 @@ impl ClosedLoop {
     /// Builds the closed system (clients submitted, dispatcher spawned)
     /// without running it.
     pub fn new(catalog: &Catalog, clients: &[QuerySpec], cfg: &EngineConfig) -> Self {
-        let core = build_core(catalog, cfg, true, false);
-        let mut sim = Simulator::new(cfg.contexts);
-        for spec in clients {
-            core.borrow_mut().submit(spec.clone());
-        }
-        let dispatcher = sim.spawn(
-            "dispatcher",
-            Box::new(DispatcherTask { core: core.clone() }),
-        );
-        core.borrow_mut().dispatcher = Some(dispatcher);
+        let (sim, core) = start(catalog, cfg, clients, true, false);
         Self { sim, core }
     }
 
@@ -264,7 +200,10 @@ impl ClosedLoop {
     }
 
     /// Runs until at least `target` total completions or the virtual
-    /// `time_cap`; returns whether the target was reached.
+    /// `time_cap`; returns whether the target was reached. Stops early,
+    /// returning `false`, once the system can make no more progress:
+    /// failed queries are not resubmitted, so clients that all failed
+    /// leave nothing to run.
     ///
     /// Chunks grow geometrically from a small initial slice so the
     /// overshoot past `target` stays bounded (a fixed large chunk could
@@ -273,7 +212,9 @@ impl ClosedLoop {
         let mut chunk: VTime = 10_000;
         while self.completions() < target && self.sim.now() < time_cap {
             let next = self.sim.now().saturating_add(chunk).min(time_cap);
-            self.sim.run(Some(next));
+            if self.sim.run(Some(next)).reason != StopReason::TimeLimit {
+                break;
+            }
             chunk = chunk.saturating_mul(2);
         }
         self.completions() >= target
@@ -333,8 +274,10 @@ pub struct Throughput {
 /// Measures steady-state throughput adaptively: warms up until every
 /// client has completed ~once (`warm_target = clients`), then measures
 /// until `measure_target` further completions. `time_cap` bounds the
-/// whole experiment; if the cap is hit mid-measurement the throughput
-/// over the partial window is returned (0 if nothing completed).
+/// warm-up; the measurement phase may run on to `4 × time_cap`
+/// (absolute virtual time). If a cap is hit, or the clients stop making
+/// progress, the throughput over the partial window is returned (0 if
+/// nothing completed).
 pub fn measure_throughput(
     catalog: &Catalog,
     clients: &[QuerySpec],
@@ -358,285 +301,6 @@ pub fn measure_throughput(
         completions,
         window,
     }
-}
-
-/// An arrival schedule for an open system: `(arrival time, query)`
-/// pairs sorted by time.
-pub type ArrivalSchedule = Vec<(VTime, QuerySpec)>;
-
-/// Builds a Poisson-like arrival schedule: `count` copies of `spec`
-/// with exponentially distributed inter-arrival gaps of the given mean
-/// (deterministic under `seed`).
-pub fn poisson_arrivals(
-    spec: &QuerySpec,
-    count: usize,
-    mean_gap: VTime,
-    seed: u64,
-) -> ArrivalSchedule {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-    let mut t: VTime = 0;
-    (0..count)
-        .map(|_| {
-            let u: f64 = rng.gen_range(1e-9..1.0);
-            let gap = (-u.ln() * mean_gap as f64).round() as VTime;
-            t += gap;
-            (t, spec.clone())
-        })
-        .collect()
-}
-
-/// Feeds a pre-computed arrival schedule into the engine: the task
-/// sleeps (off-context) between arrivals and wakes the dispatcher as
-/// queries arrive — the open-system regime of paper Section 5.1, where
-/// arrivals are independent of response times.
-struct ArrivalTask {
-    core: Rc<RefCell<EngineCore>>,
-    schedule: std::vec::IntoIter<(VTime, QuerySpec)>,
-    pending: Option<(VTime, QuerySpec)>,
-}
-
-impl cordoba_sim::Task for ArrivalTask {
-    fn step(&mut self, ctx: &mut cordoba_sim::TaskCtx<'_>) -> cordoba_sim::Step {
-        use cordoba_sim::Step;
-        let now = ctx.now();
-        loop {
-            let (at, spec) = match self.pending.take().or_else(|| self.schedule.next()) {
-                Some(x) => x,
-                None => return Step::done(0),
-            };
-            if at > now {
-                let delay = at - now;
-                self.pending = Some((at, spec));
-                return Step::sleep(0, delay);
-            }
-            let mut core = self.core.borrow_mut();
-            core.submit_at(spec, now);
-            core.external_arrivals_pending = core.external_arrivals_pending.saturating_sub(1);
-            let dispatcher = core.dispatcher;
-            drop(core);
-            if let Some(d) = dispatcher {
-                ctx.wake(d);
-            }
-        }
-    }
-}
-
-/// What became of one scheduled query.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Disposition {
-    /// Completed normally.
-    Completed {
-        /// Virtual completion time.
-        at: VTime,
-        /// Response time (completion − arrival).
-        response: VTime,
-    },
-    /// Failed (rejected plan or runtime fault) — never completed.
-    Failed(ExecError),
-    /// Refused at admission (bounded service queue full) — never
-    /// entered the engine. Only [`crate::service`] produces this.
-    Rejected,
-    /// Still unfinished when the run stopped at its time cap: either
-    /// in the engine (queued, forming, or executing) or a scheduled
-    /// arrival the cap cut off before it was submitted.
-    InFlight,
-}
-
-/// Outcome of an open-system run.
-#[derive(Debug, Clone)]
-pub struct OpenReport {
-    /// Number of queries submitted (the whole schedule).
-    pub submitted: usize,
-    /// Number completed before the run ended.
-    pub completed: usize,
-    /// Queries still unfinished when the run hit its time cap (0 when
-    /// the schedule drained). Counts both engine-resident queries and
-    /// scheduled arrivals the cap cut off before submission.
-    pub in_flight: usize,
-    /// Virtual end time.
-    pub makespan: VTime,
-    /// Per-query response times (completion − arrival), completion order.
-    pub response_times: Vec<VTime>,
-    /// Per-query disposition, indexed by schedule position.
-    pub dispositions: Vec<Disposition>,
-    /// Sizes of the dispatched sharing groups.
-    pub group_sizes: Vec<usize>,
-    /// `(submission id, error)` for queries that failed instead of
-    /// completing (rejected plans and runtime faults).
-    pub failures: Vec<(usize, ExecError)>,
-    /// Fingerprint-cache and subsumption activity.
-    pub sharing: SharingCounters,
-}
-
-impl OpenReport {
-    /// Builds the report from the engine core, deriving per-query
-    /// dispositions and the in-flight count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the accounting does not balance — every scheduled
-    /// query must be completed, failed, or in flight:
-    /// `submitted == completed + failures.len() + in_flight`.
-    fn from_core(core: &EngineCore, submitted: usize, makespan: VTime) -> Self {
-        let response_times = core
-            .completion_records
-            .iter()
-            .map(|&(submission, done)| done.saturating_sub(core.arrival_times[submission]))
-            .collect::<Vec<_>>();
-        let dispositions = dispositions_from_core(core, submitted);
-        let in_flight = dispositions
-            .iter()
-            .filter(|d| **d == Disposition::InFlight)
-            .count();
-        let report = Self {
-            submitted,
-            completed: core.completion_records.len(),
-            in_flight,
-            makespan,
-            response_times,
-            dispositions,
-            group_sizes: core.group_sizes.clone(),
-            failures: core.failures.clone(),
-            sharing: SharingCounters::from_core(core),
-        };
-        assert_eq!(
-            report.submitted,
-            report.completed + report.failures.len() + report.in_flight,
-            "open-system accounting must balance: {} submitted vs {} completed + {} failed + {} in flight",
-            report.submitted,
-            report.completed,
-            report.failures.len(),
-            report.in_flight,
-        );
-        assert_eq!(report.dispositions.len(), report.submitted);
-        report
-    }
-
-    /// Mean response time over completed queries, or `None` when
-    /// nothing completed.
-    pub fn mean_response(&self) -> Option<f64> {
-        if self.response_times.is_empty() {
-            return None;
-        }
-        Some(
-            self.response_times.iter().map(|&t| t as f64).sum::<f64>()
-                / self.response_times.len() as f64,
-        )
-    }
-
-    /// Response-time distribution of the completed queries (exact
-    /// nearest-rank quantiles: p50/p99/p999 via
-    /// [`Histogram::quantile`]/[`Histogram::summary`]).
-    pub fn latency(&self) -> Histogram {
-        Histogram::from_samples(self.response_times.clone())
-    }
-
-    /// Throughput over the whole run.
-    pub fn throughput(&self) -> f64 {
-        if self.makespan == 0 {
-            return 0.0;
-        }
-        self.completed as f64 / self.makespan as f64
-    }
-}
-
-/// Per-query dispositions from the engine's completion/failure records.
-/// Submission ids beyond `core.next_submission` (scheduled arrivals a
-/// time cap cut off before submission) stay [`Disposition::InFlight`].
-pub(crate) fn dispositions_from_core(core: &EngineCore, submitted: usize) -> Vec<Disposition> {
-    let mut dispositions = vec![Disposition::InFlight; submitted];
-    for &(submission, done) in &core.completion_records {
-        dispositions[submission] = Disposition::Completed {
-            at: done,
-            response: done.saturating_sub(core.arrival_times[submission]),
-        };
-    }
-    for (submission, err) in &core.failures {
-        dispositions[*submission] = Disposition::Failed(err.clone());
-    }
-    dispositions
-}
-
-/// Runs an open system: queries arrive per `schedule` (independent of
-/// completions — no resubmission), the run lasts until all submitted
-/// queries finish or `time_cap` is reached.
-pub fn run_open_loop(
-    catalog: &Catalog,
-    schedule: ArrivalSchedule,
-    cfg: &EngineConfig,
-    time_cap: VTime,
-) -> OpenReport {
-    let core = build_core(catalog, cfg, false, false);
-    core.borrow_mut().external_arrivals_pending = schedule.len();
-    let mut sim = Simulator::new(cfg.contexts);
-    let submitted = schedule.len();
-    let dispatcher = sim.spawn(
-        "dispatcher",
-        Box::new(DispatcherTask { core: core.clone() }),
-    );
-    core.borrow_mut().dispatcher = Some(dispatcher);
-    sim.spawn(
-        "arrivals",
-        Box::new(ArrivalTask {
-            core: core.clone(),
-            schedule: schedule.into_iter(),
-            pending: None,
-        }),
-    );
-    sim.run(Some(time_cap));
-    let makespan = sim.now();
-    let core = core.borrow();
-    OpenReport::from_core(&core, submitted, makespan)
-}
-
-/// Like [`run_open_loop`] but also collects every query's result rows
-/// (indexed by submission order). This is the correctness harness for
-/// *time-staggered* sharing: fragment-cache replay serves arrivals that
-/// come in after a fragment completed, which [`run_once`]'s
-/// everything-at-t=0 batch can never exercise.
-#[allow(clippy::type_complexity)]
-pub fn run_open_loop_collecting(
-    catalog: &Catalog,
-    schedule: ArrivalSchedule,
-    cfg: &EngineConfig,
-    time_cap: VTime,
-) -> (OpenReport, Vec<Vec<Vec<Value>>>) {
-    let core = build_core(catalog, cfg, false, true);
-    core.borrow_mut().external_arrivals_pending = schedule.len();
-    let mut sim = Simulator::new(cfg.contexts);
-    let submitted = schedule.len();
-    let dispatcher = sim.spawn(
-        "dispatcher",
-        Box::new(DispatcherTask { core: core.clone() }),
-    );
-    core.borrow_mut().dispatcher = Some(dispatcher);
-    sim.spawn(
-        "arrivals",
-        Box::new(ArrivalTask {
-            core: core.clone(),
-            schedule: schedule.into_iter(),
-            pending: None,
-        }),
-    );
-    sim.run(Some(time_cap));
-    let makespan = sim.now();
-    let core = core.borrow();
-    let results = core
-        .collect
-        .as_ref()
-        // lint: allow(this runner installed collection buffers when it built the core)
-        .expect("collection enabled")
-        .iter()
-        .map(|buf| {
-            buf.borrow()
-                .iter()
-                .flat_map(|p| p.tuples().map(|t| t.to_values()).collect::<Vec<_>>())
-                .collect()
-        })
-        .collect();
-    let report = OpenReport::from_core(&core, submitted, makespan);
-    (report, results)
 }
 
 /// Result of a one-shot (no resubmission) run.
@@ -712,43 +376,20 @@ pub fn run_once_capped(
     cfg: &EngineConfig,
     time_cap: Option<VTime>,
 ) -> OnceOutcome {
-    let core = build_core(catalog, cfg, false, true);
-    let mut sim = Simulator::new(cfg.contexts);
-    for spec in specs {
-        core.borrow_mut().submit(spec.clone());
-    }
-    let dispatcher = sim.spawn(
-        "dispatcher",
-        Box::new(DispatcherTask { core: core.clone() }),
-    );
-    core.borrow_mut().dispatcher = Some(dispatcher);
+    let (mut sim, core) = start(catalog, cfg, specs, false, true);
     let outcome = sim.run(time_cap);
     if !outcome.completed_all() {
         fail_stalled_submissions(&mut core.borrow_mut(), &outcome);
     }
-    let makespan = sim.now();
     let task_stats = sim
         .all_task_stats()
         .map(|(_, name, stats)| (name.to_string(), *stats))
         .collect();
     let core = core.borrow();
-    let results = core
-        .collect
-        .as_ref()
-        // lint: allow(this runner installed collection buffers when it built the core)
-        .expect("collection enabled")
-        .iter()
-        .map(|buf| {
-            buf.borrow()
-                .iter()
-                .flat_map(|p| p.tuples().map(|t| t.to_values()).collect::<Vec<_>>())
-                .collect()
-        })
-        .collect();
     OnceOutcome {
-        results,
+        results: collected_rows(&core),
         task_stats,
-        makespan,
+        makespan: sim.now(),
         group_sizes: core.group_sizes.clone(),
         failures: core.failures.clone(),
         sharing: SharingCounters::from_core(&core),
@@ -758,6 +399,7 @@ pub fn run_once_capped(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::{run_service, ArrivalSchedule, Disposition, ServiceConfig, ServiceReport};
     use cordoba_exec::expr::{Agg, CmpOp, Predicate, ScalarExpr};
     use cordoba_exec::{reference, PhysicalPlan};
     use cordoba_storage::{DataType, Field, Schema, TableBuilder};
@@ -796,6 +438,19 @@ mod tests {
             cost: OpCost::per_tuple(0.5),
         };
         QuerySpec::shared_at("q", plan, scan())
+    }
+
+    /// Projects column 9 of the two-column table: fails with a typed
+    /// `PlanType` error.
+    fn bad() -> QuerySpec {
+        QuerySpec::unshared(
+            "bad",
+            PhysicalPlan::Project {
+                input: Box::new(scan()),
+                exprs: vec![("e".into(), ScalarExpr::col(9))],
+                cost: OpCost::default(),
+            },
+        )
     }
 
     fn expected_rows(catalog: &Catalog) -> Vec<Vec<Value>> {
@@ -940,24 +595,15 @@ mod tests {
 
     #[test]
     fn malformed_query_fails_without_killing_the_batch() {
-        // One malformed query (string-ish arithmetic via an
-        // out-of-range column) among healthy ones: the bad submission
+        // One malformed query among healthy ones: the bad submission
         // is recorded as a failure, everything else completes normally.
         let cat = catalog();
-        let bad = QuerySpec::unshared(
-            "bad",
-            PhysicalPlan::Project {
-                input: Box::new(scan()),
-                exprs: vec![("e".into(), ScalarExpr::col(9))],
-                cost: OpCost::default(),
-            },
-        );
         let cfg = EngineConfig {
             contexts: 2,
             policy: Policy::NeverShare,
             ..Default::default()
         };
-        let out = run_once(&cat, &[query(), bad, query()], &cfg);
+        let out = run_once(&cat, &[query(), bad(), query()], &cfg);
         assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
         assert_eq!(out.failures[0].0, 1, "submission id of the bad query");
         assert!(
@@ -976,15 +622,18 @@ mod tests {
         let cfg = EngineConfig {
             contexts: 2,
             policy: Policy::NeverShare,
-            duration: 2_000_000,
             ..Default::default()
         };
-        let report = run_closed_loop(&cat, &[query(), query()], &cfg);
-        assert!(report.measured_completions() > 4, "{report:?}");
-        assert!(report.throughput() > 0.0);
-        assert!((report.mean_group_size() - 1.0).abs() < 1e-9);
+        let clients = [query(), query()];
+        let tp = measure_throughput(&cat, &clients, &cfg, 8, 2_000_000);
+        assert!(tp.completions >= 8, "{tp:?}");
+        assert!(tp.per_time > 0.0 && tp.window > 0, "{tp:?}");
+        let mut cl = ClosedLoop::new(&cat, &clients, &cfg);
+        assert!(!cl.run_until_completions(usize::MAX, 2_000_000));
+        assert_eq!(cl.now(), 2_000_000, "a live closed loop runs to its cap");
+        assert!((cl.mean_group_size() - 1.0).abs() < 1e-9);
         // Two clients on two contexts keep the machine mostly busy.
-        assert!(report.stats.utilization() > 0.5);
+        assert!(cl.stats().utilization() > 0.5);
     }
 
     #[test]
@@ -993,30 +642,91 @@ mod tests {
         let cfg = EngineConfig {
             contexts: 2,
             policy: Policy::AlwaysShare,
-            duration: 2_000_000,
             ..Default::default()
         };
-        let report = run_closed_loop(&cat, &[query(), query(), query(), query()], &cfg);
-        // Groups keep re-forming as the closed loop resubmits.
-        assert!(report.group_sizes.len() > 2);
-        assert!(report.mean_group_size() > 1.5, "{:?}", report.group_sizes);
+        let mut cl = ClosedLoop::new(&cat, &[query(), query(), query(), query()], &cfg);
+        cl.run_until_completions(usize::MAX, 2_000_000);
+        // A group holds at most the four live clients, so more than
+        // eight completions means groups kept re-forming as the closed
+        // loop resubmitted.
+        assert!(cl.completions() > 8, "{}", cl.completions());
+        assert!(cl.mean_group_size() > 1.5, "{}", cl.mean_group_size());
+    }
+
+    #[test]
+    fn completions_are_timestamped_within_duration() {
+        let cat = catalog();
+        let cfg = EngineConfig {
+            contexts: 1,
+            policy: Policy::NeverShare,
+            ..Default::default()
+        };
+        let mut cl = ClosedLoop::new(&cat, &[query()], &cfg);
+        cl.run_until_completions(usize::MAX, 500_000);
+        assert!(cl.completions() > 0);
+        assert_eq!(cl.completions_since(500_000), 0, "nothing past the cap");
+        assert_eq!(cl.completions_of_since("q", 0), cl.completions());
+    }
+
+    #[test]
+    fn throughput_of_clients_that_never_complete_is_zero() {
+        // Failed queries are not resubmitted, so a closed loop whose
+        // only client fails has nothing left to run. The measurement
+        // must stop there instead of spinning on a frozen clock; the
+        // watchdog turns a hang into a failure.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let measuring = std::thread::spawn(move || {
+            let cfg = EngineConfig {
+                contexts: 1,
+                ..Default::default()
+            };
+            tx.send(measure_throughput(
+                &catalog(),
+                &[bad()],
+                &cfg,
+                10,
+                1_000_000,
+            ))
+        });
+        let tp = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("measure_throughput must return when no client can complete");
+        measuring
+            .join()
+            .expect("measuring thread panicked")
+            .expect("receiver alive");
+        assert_eq!(tp.completions, 0, "{tp:?}");
+        assert_eq!(tp.per_time, 0.0);
+    }
+
+    /// An open system that never refuses an arrival.
+    fn open(
+        cat: &Catalog,
+        schedule: ArrivalSchedule,
+        engine: EngineConfig,
+        time_cap: Option<VTime>,
+    ) -> ServiceReport {
+        let cfg = ServiceConfig {
+            engine,
+            admission_capacity: usize::MAX,
+            time_cap,
+        };
+        run_service(cat, schedule, &cfg)
     }
 
     #[test]
     fn open_loop_completes_all_scheduled_arrivals() {
         let cat = catalog();
-        let schedule = poisson_arrivals(&query(), 12, 5_000, 7);
-        assert_eq!(schedule.len(), 12);
-        assert!(
-            schedule.windows(2).all(|w| w[0].0 <= w[1].0),
-            "sorted by time"
-        );
+        // Irregular gaps of about 5,000 time units.
+        let schedule: ArrivalSchedule = (0..12u64)
+            .map(|i| (i * 5_000 + (i * i * 1_237) % 4_000, query()))
+            .collect();
         let cfg = EngineConfig {
             contexts: 4,
             policy: Policy::AlwaysShare,
             ..Default::default()
         };
-        let report = run_open_loop(&cat, schedule, &cfg, 1_000_000_000);
+        let report = open(&cat, schedule, cfg, Some(1_000_000_000));
         assert_eq!(report.completed, 12, "{report:?}");
         assert_eq!(report.response_times.len(), 12);
         assert!(report.response_times.iter().all(|&t| t > 0));
@@ -1045,14 +755,14 @@ mod tests {
             ..Default::default()
         };
         let sparse: ArrivalSchedule = (0..6).map(|i| (i * 50_000_000, query())).collect();
-        let sparse_report = run_open_loop(&cat, sparse, &cfg, u64::MAX / 4);
+        let sparse_report = open(&cat, sparse, cfg.clone(), None);
         assert!(
             sparse_report.group_sizes.iter().all(|&g| g == 1),
             "{:?}",
             sparse_report.group_sizes
         );
         let burst: ArrivalSchedule = (0..6).map(|_| (1000, query())).collect();
-        let burst_report = run_open_loop(&cat, burst, &cfg, u64::MAX / 4);
+        let burst_report = open(&cat, burst, cfg, None);
         assert_eq!(burst_report.group_sizes, vec![6]);
         // Sharing the burst lowers mean response vs the per-query cost
         // of redundant scans... at least, every query still finishes.
@@ -1067,11 +777,13 @@ mod tests {
             ..Default::default()
         };
         let schedule: ArrivalSchedule = (0..50).map(|_| (0, query())).collect();
-        let report = run_open_loop(&cat, schedule, &cfg, 50_000);
+        let report = open(&cat, schedule, cfg, Some(50_000));
         assert!(report.completed < 50, "cap must cut the run short");
         assert!(report.makespan <= 50_000);
         // The cut-off queries are accounted, not dropped: the report
-        // constructor asserts submitted == completed + failed + in_flight.
+        // constructor asserts offered == completed + failed + rejected
+        // + in_flight.
+        assert_eq!(report.rejected, 0);
         assert_eq!(
             report.in_flight,
             50 - report.completed - report.failures.len()
@@ -1087,32 +799,15 @@ mod tests {
 
     #[test]
     fn poisson_schedule_is_deterministic_per_seed() {
-        let a = poisson_arrivals(&query(), 20, 1_000, 42);
-        let b = poisson_arrivals(&query(), 20, 1_000, 42);
-        assert_eq!(
-            a.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
-            b.iter().map(|(t, _)| *t).collect::<Vec<_>>()
-        );
-        let c = poisson_arrivals(&query(), 20, 1_000, 43);
-        assert_ne!(
-            a.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
-            c.iter().map(|(t, _)| *t).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn completions_are_timestamped_within_duration() {
-        let cat = catalog();
-        let cfg = EngineConfig {
-            contexts: 1,
-            policy: Policy::NeverShare,
-            duration: 500_000,
-            ..Default::default()
-        };
-        let report = run_closed_loop(&cat, &[query()], &cfg);
-        for (t, name) in &report.completions {
-            assert!(*t <= report.duration);
-            assert_eq!(name, "q");
-        }
+        // A one-spec Poisson schedule is `poisson_mix` over a pool of one.
+        use cordoba_workload::arrivals::poisson_mix;
+        let spec = cordoba_workload::q6(&cordoba_workload::CostProfile::paper());
+        let one = std::slice::from_ref(&spec);
+        let times = |s: &[(VTime, _)]| s.iter().map(|(t, _)| *t).collect::<Vec<_>>();
+        let a = poisson_mix(one, 20, 1_000, 42);
+        let b = poisson_mix(one, 20, 1_000, 42);
+        assert_eq!(a, b);
+        let c = poisson_mix(one, 20, 1_000, 43);
+        assert_ne!(times(&a), times(&c));
     }
 }

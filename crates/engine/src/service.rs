@@ -1,18 +1,21 @@
-//! Open-system query **service**: a long-running arrival loop with a
-//! bounded admission queue and full per-query accounting.
+//! Open-system query **service**: queries arrive on a schedule, pass a
+//! bounded admission queue, and every offered query gets an explicit
+//! disposition.
 //!
-//! Where [`crate::runner::run_open_loop`] replays a schedule and reports
-//! aggregate means, this module models the *operational* regime the
-//! paper's claims are about: queries arrive independently of response
-//! times, the engine either admits them or — when the bounded admission
-//! queue is full — refuses them with a typed [`Disposition::Rejected`]
-//! outcome (backpressure by load-shedding, not by blocking the client),
-//! and every offered query has an explicit disposition so the books
-//! always balance:
+//! This is the open-system regime of paper Section 5.1: queries arrive
+//! independently of response times, the engine either admits them or —
+//! when the bounded admission queue is full — refuses them with a typed
+//! [`Disposition::Rejected`] outcome (backpressure by load-shedding, not
+//! by blocking the client), and the books always balance:
 //!
 //! ```text
 //! offered == completed + failures + rejected + in_flight
 //! ```
+//!
+//! [`run_service`] reports the dispositions and latencies;
+//! [`run_open_loop_collecting`] runs the same loop with an unbounded
+//! queue and also returns every query's result rows, the correctness
+//! harness for time-staggered sharing.
 //!
 //! ## Sharing as an admission/merge controller
 //!
@@ -28,20 +31,44 @@
 //! as the merge half of the admission controller: capacity decides
 //! *whether* a query enters, the model decides *where*.
 //!
-//! Arrival schedules beyond fixed Poisson (bursty on/off, load ramps,
-//! chaos campaigns) are generated by `cordoba-workload`'s `arrivals`
-//! module and are ordinary [`ArrivalSchedule`]s — the service is
-//! agnostic to how the schedule was drawn.
+//! Arrival schedules (Poisson mixes, bursty on/off, load ramps, chaos
+//! campaigns) are generated by `cordoba-workload`'s `arrivals` module
+//! and are ordinary [`ArrivalSchedule`]s — the service is agnostic to
+//! how the schedule was drawn.
 
-use crate::dispatcher::{DispatcherTask, EngineCore};
+use crate::dispatcher::EngineCore;
 use crate::query::QuerySpec;
-use crate::runner::{
-    build_core, dispositions_from_core, ArrivalSchedule, Disposition, EngineConfig, SharingCounters,
-};
+use crate::runner::{collected_rows, start, EngineConfig, SharingCounters};
 use cordoba_exec::ExecError;
-use cordoba_sim::{Histogram, SimStats, Simulator, Step, Task, TaskCtx, VTime};
+use cordoba_sim::{Histogram, SimStats, Step, Task, TaskCtx, VTime};
+use cordoba_storage::{Catalog, Value};
 use std::cell::RefCell;
 use std::rc::Rc;
+
+/// An arrival schedule for an open system: `(arrival time, query)`
+/// pairs sorted by time.
+pub type ArrivalSchedule = Vec<(VTime, QuerySpec)>;
+
+/// What became of one offered query.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Disposition {
+    /// Completed normally.
+    Completed {
+        /// Virtual completion time.
+        at: VTime,
+        /// Response time (completion − arrival).
+        response: VTime,
+    },
+    /// Failed (rejected plan or runtime fault) — never completed.
+    Failed(ExecError),
+    /// Refused at admission (bounded service queue full) — never
+    /// entered the engine.
+    Rejected,
+    /// Still unfinished when the run stopped at its time cap: either
+    /// in the engine (queued, forming, or executing) or a scheduled
+    /// arrival the cap cut off before it was submitted.
+    InFlight,
+}
 
 /// Configuration of one service run.
 #[derive(Debug, Clone)]
@@ -157,8 +184,19 @@ pub struct ServiceReport {
 
 impl ServiceReport {
     fn new(core: &EngineCore, slots: &[Slot], makespan: VTime, stats: SimStats) -> Self {
+        let response =
+            |submission: usize, done: VTime| done.saturating_sub(core.arrival_times[submission]);
+        let mut engine_dispositions = vec![Disposition::InFlight; core.next_submission];
+        for &(submission, done) in &core.completion_records {
+            engine_dispositions[submission] = Disposition::Completed {
+                at: done,
+                response: response(submission, done),
+            };
+        }
+        for (submission, err) in &core.failures {
+            engine_dispositions[*submission] = Disposition::Failed(err.clone());
+        }
         let offered = slots.len();
-        let engine_dispositions = dispositions_from_core(core, core.next_submission);
         let mut dispositions = vec![Disposition::InFlight; offered];
         let mut failures = Vec::new();
         let mut submitted = 0;
@@ -187,7 +225,7 @@ impl ServiceReport {
         let response_times = core
             .completion_records
             .iter()
-            .map(|&(submission, done)| done.saturating_sub(core.arrival_times[submission]))
+            .map(|&(submission, done)| response(submission, done))
             .collect();
         let report = Self {
             offered,
@@ -257,19 +295,46 @@ impl ServiceReport {
 /// run lasts until the schedule drains and the engine empties, or until
 /// `cfg.time_cap`.
 pub fn run_service(
-    catalog: &cordoba_storage::Catalog,
+    catalog: &Catalog,
     schedule: ArrivalSchedule,
     cfg: &ServiceConfig,
 ) -> ServiceReport {
-    let core = build_core(catalog, &cfg.engine, false, false);
+    serve(catalog, schedule, cfg, false).0
+}
+
+/// Like [`run_service`] with an unbounded admission queue, but also
+/// collects every query's result rows (indexed by schedule position).
+/// This is the correctness harness for *time-staggered* sharing:
+/// fragment-cache replay serves arrivals that come in after a fragment
+/// completed, which [`crate::run_once`]'s everything-at-t=0 batch can
+/// never exercise.
+#[allow(clippy::type_complexity)]
+pub fn run_open_loop_collecting(
+    catalog: &Catalog,
+    schedule: ArrivalSchedule,
+    cfg: &EngineConfig,
+    time_cap: VTime,
+) -> (ServiceReport, Vec<Vec<Vec<Value>>>) {
+    let cfg = ServiceConfig {
+        engine: cfg.clone(),
+        admission_capacity: usize::MAX,
+        time_cap: Some(time_cap),
+    };
+    serve(catalog, schedule, &cfg, true)
+}
+
+/// The one open-system loop behind [`run_service`] and
+/// [`run_open_loop_collecting`]. Rows are collected only when `collect`
+/// is set.
+fn serve(
+    catalog: &Catalog,
+    schedule: ArrivalSchedule,
+    cfg: &ServiceConfig,
+    collect: bool,
+) -> (ServiceReport, Vec<Vec<Vec<Value>>>) {
+    let (mut sim, core) = start(catalog, &cfg.engine, &[], false, collect);
     core.borrow_mut().external_arrivals_pending = schedule.len();
     let slots = Rc::new(RefCell::new(vec![Slot::Pending; schedule.len()]));
-    let mut sim = Simulator::new(cfg.engine.contexts);
-    let dispatcher = sim.spawn(
-        "dispatcher",
-        Box::new(DispatcherTask { core: core.clone() }),
-    );
-    core.borrow_mut().dispatcher = Some(dispatcher);
     sim.spawn(
         "service",
         Box::new(ServiceTask {
@@ -282,9 +347,7 @@ pub fn run_service(
         }),
     );
     sim.run(cfg.time_cap);
-    let makespan = sim.now();
-    let stats = sim.stats();
     let core = core.borrow();
-    let slots = slots.borrow();
-    ServiceReport::new(&core, &slots, makespan, stats)
+    let report = ServiceReport::new(&core, &slots.borrow(), sim.now(), sim.stats());
+    (report, collected_rows(&core))
 }

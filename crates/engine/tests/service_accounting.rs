@@ -3,8 +3,8 @@
 //! completed, failed, rejected, or in flight.
 
 use cordoba_engine::{
-    poisson_arrivals, run_once, run_once_capped, run_open_loop, run_service, ArrivalSchedule,
-    Disposition, EngineConfig, ExecError, ParallelConfig, Policy, QuerySpec, ServiceConfig,
+    run_once, run_once_capped, run_open_loop_collecting, run_service, ArrivalSchedule, Disposition,
+    EngineConfig, ExecError, ParallelConfig, Policy, QuerySpec, ServiceConfig, ServiceReport,
 };
 use cordoba_storage::tpch::{generate, TpchConfig};
 use cordoba_storage::Catalog;
@@ -34,27 +34,39 @@ fn engine_cfg(policy: Policy) -> EngineConfig {
     }
 }
 
-/// `submitted == completed + failures + in_flight` over a sweep of tiny
+/// An always-share open system that never refuses an arrival.
+fn open_loop(cat: &Catalog, schedule: ArrivalSchedule, time_cap: u64) -> ServiceReport {
+    let cfg = ServiceConfig {
+        engine: engine_cfg(Policy::AlwaysShare),
+        admission_capacity: usize::MAX,
+        time_cap: Some(time_cap),
+    };
+    run_service(cat, schedule, &cfg)
+}
+
+/// `offered == completed + failures + in_flight`, with nothing
+/// rejected: the open loop admits every arrival.
+fn assert_open_books_balance(report: &ServiceReport, context: &str) {
+    assert_eq!(report.rejected, 0, "{context}: {report:?}");
+    assert_eq!(
+        report.offered,
+        report.completed + report.failures.len() + report.in_flight,
+        "{context}: {report:?}"
+    );
+}
+
+/// `offered == completed + failures + in_flight` over a sweep of tiny
 /// time caps that cut the run at every phase: before any arrival,
 /// mid-arrivals, mid-execution, and after the drain.
 #[test]
 fn capped_open_loop_accounting_balances() {
     let cat = catalog();
-    let schedule = poisson_arrivals(&pool()[0], 20, 3_000, 7);
+    let schedule = poisson_mix(std::slice::from_ref(&pool()[0]), 20, 3_000, 7);
     for cap in [1, 1_000, 10_000, 100_000, 1_000_000, u64::MAX / 4] {
-        let report = run_open_loop(
-            &cat,
-            schedule.clone(),
-            &engine_cfg(Policy::AlwaysShare),
-            cap,
-        );
+        let report = open_loop(&cat, schedule.clone(), cap);
         // The constructor asserts the invariant; re-check it here so a
         // future refactor of the constructor cannot silently drop it.
-        assert_eq!(
-            report.submitted,
-            report.completed + report.failures.len() + report.in_flight,
-            "cap {cap}: {report:?}"
-        );
+        assert_open_books_balance(&report, &format!("cap {cap}"));
         assert_eq!(report.dispositions.len(), 20);
         let completed = report
             .dispositions
@@ -73,17 +85,9 @@ fn capped_bursty_schedule_accounts_for_every_query() {
     let schedule = bursty(&pool(), 4, 6, 10, 200_000, 21);
     let total = schedule.len();
     for cap in [50_000, 400_000, 900_000] {
-        let report = run_open_loop(
-            &cat,
-            schedule.clone(),
-            &engine_cfg(Policy::AlwaysShare),
-            cap,
-        );
-        assert_eq!(report.submitted, total);
-        assert_eq!(
-            report.submitted,
-            report.completed + report.failures.len() + report.in_flight
-        );
+        let report = open_loop(&cat, schedule.clone(), cap);
+        assert_eq!(report.offered, total);
+        assert_open_books_balance(&report, &format!("cap {cap}"));
     }
 }
 
@@ -95,12 +99,8 @@ fn capped_run_with_injected_failures_balances() {
     let schedule = chaos(poisson_mix(&pool(), 24, 2_000, 3), 0.4, 5);
     let injected = schedule.iter().filter(|(_, s)| s.chaos.is_some()).count();
     assert!(injected > 0, "campaign must mark something");
-    let report = run_open_loop(
-        &cat,
-        schedule,
-        &engine_cfg(Policy::AlwaysShare),
-        u64::MAX / 4,
-    );
+    let report = open_loop(&cat, schedule, u64::MAX / 4);
+    assert_open_books_balance(&report, "chaos");
     assert_eq!(report.in_flight, 0, "uncapped run drains");
     assert_eq!(report.failures.len(), injected);
     assert!(report
@@ -206,7 +206,9 @@ fn capped_service_ramp_accounts_for_every_disposition() {
 }
 
 /// Chaos queries fail inside the service while their healthy peers
-/// complete; failures are schedule-indexed.
+/// complete. Through both open-system entry points, `failures` lists
+/// exactly the marked queries by schedule position, strictly ascending,
+/// and matches the `Disposition::Failed` entries.
 #[test]
 fn service_chaos_failures_are_isolated_and_indexed() {
     let cat = catalog();
@@ -223,10 +225,23 @@ fn service_chaos_failures_are_isolated_and_indexed() {
         admission_capacity: 64,
         time_cap: None,
     };
-    let report = run_service(&cat, schedule, &cfg);
-    let mut failed: Vec<usize> = report.failures.iter().map(|(i, _)| *i).collect();
-    failed.sort_unstable();
-    assert_eq!(failed, marked, "exactly the marked queries fail");
-    assert_eq!(report.completed, 20 - marked.len());
-    assert_eq!(report.rejected + report.in_flight, 0);
+    let served = run_service(&cat, schedule.clone(), &cfg);
+    let (collected, rows) = run_open_loop_collecting(&cat, schedule, &cfg.engine, u64::MAX / 4);
+    assert_eq!(rows.len(), 20);
+    for report in [&served, &collected] {
+        let failed: Vec<usize> = report.failures.iter().map(|(i, _)| *i).collect();
+        assert_eq!(failed, marked, "exactly the marked queries fail, in order");
+        let dispositions: Vec<(usize, ExecError)> = report
+            .dispositions
+            .iter()
+            .enumerate()
+            .filter_map(|(i, d)| match d {
+                Disposition::Failed(err) => Some((i, err.clone())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(report.failures, dispositions);
+        assert_eq!(report.completed, 20 - marked.len());
+        assert_eq!(report.rejected + report.in_flight, 0);
+    }
 }

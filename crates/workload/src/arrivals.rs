@@ -3,11 +3,13 @@
 //! [`cordoba_engine::service`] consumes plain
 //! [`ArrivalSchedule`]s — `(arrival time, query)` pairs sorted by time —
 //! so arrival processes are just generator functions. This module
-//! provides the processes the tail-latency harness drives beyond the
-//! fixed-rate Poisson of [`cordoba_engine::poisson_arrivals`]:
+//! provides the processes the service and its tail-latency harness
+//! drive:
 //!
 //! * [`poisson_mix`] — Poisson arrivals drawing uniformly from a pool
-//!   of query specs (heterogeneous clients, one arrival process).
+//!   of query specs (heterogeneous clients, one arrival process); a
+//!   one-spec pool (`std::slice::from_ref(&spec)`) is the fixed-query
+//!   Poisson process.
 //! * [`bursty`] — an on/off source: tight bursts of back-to-back
 //!   arrivals separated by long idle gaps, the worst case for a
 //!   formation window (whole bursts co-reside; nothing else does).

@@ -9,8 +9,9 @@
 //!
 //! Run with: `cargo run --release --example open_system`
 
-use cordoba::engine::{poisson_arrivals, run_open_loop, EngineConfig, Policy};
+use cordoba::engine::{run_service, EngineConfig, Policy, ServiceConfig};
 use cordoba::storage::tpch::{generate, TpchConfig};
+use cordoba::workload::arrivals::poisson_mix;
 use cordoba::workload::{q6, CostProfile};
 
 fn main() {
@@ -26,13 +27,18 @@ fn main() {
     // Sweep offered load: long gaps = idle system, short gaps = overload.
     for mean_gap in [2_000_000u64, 500_000, 150_000, 50_000] {
         let run = |policy: Policy| {
-            let schedule = poisson_arrivals(&spec, queries, mean_gap, 11);
-            let cfg = EngineConfig {
-                contexts: 2,
-                policy,
-                ..EngineConfig::default()
+            let schedule = poisson_mix(std::slice::from_ref(&spec), queries, mean_gap, 11);
+            let cfg = ServiceConfig {
+                engine: EngineConfig {
+                    contexts: 2,
+                    policy,
+                    ..EngineConfig::default()
+                },
+                // An open system admits every arrival.
+                admission_capacity: usize::MAX,
+                time_cap: None,
             };
-            run_open_loop(&catalog, schedule, &cfg, u64::MAX / 4)
+            run_service(&catalog, schedule, &cfg)
         };
         let never = run(Policy::NeverShare);
         let always = run(Policy::AlwaysShare);
