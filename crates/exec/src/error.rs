@@ -11,6 +11,7 @@
 //! the error, so the query fails while the process (and every other
 //! query sharing the simulator) keeps running.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
@@ -73,6 +74,12 @@ pub enum ExecError {
         /// Describes the injection site/campaign.
         detail: String,
     },
+    /// A real-thread morsel worker panicked; the panic was caught at
+    /// the worker join and fails only the query the worker ran for.
+    WorkerPanicked {
+        /// The panic message (or a note that it carried none).
+        detail: String,
+    },
 }
 
 impl ExecError {
@@ -87,6 +94,17 @@ impl ExecError {
             op,
             detail: err.to_string(),
         }
+    }
+
+    /// Shorthand for a [`ExecError::WorkerPanicked`] from a caught
+    /// panic payload.
+    pub fn worker_panicked(payload: Box<dyn Any + Send>) -> Self {
+        let detail = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "panic payload is not a string".to_string());
+        ExecError::WorkerPanicked { detail }
     }
 }
 
@@ -114,6 +132,9 @@ impl fmt::Display for ExecError {
                 )
             }
             ExecError::Injected { detail } => write!(f, "injected fault: {detail}"),
+            ExecError::WorkerPanicked { detail } => {
+                write!(f, "parallel worker panicked: {detail}")
+            }
         }
     }
 }
@@ -178,6 +199,11 @@ mod tests {
         };
         assert!(e.to_string().contains("injected"));
         assert!(e.to_string().contains("campaign 7"));
+        let e = ExecError::worker_panicked(Box::new("index out of bounds"));
+        assert!(e.to_string().contains("worker panicked"));
+        assert!(e.to_string().contains("index out of bounds"));
+        let e = ExecError::worker_panicked(Box::new(format!("row {}", 7)));
+        assert!(e.to_string().contains("row 7"));
     }
 
     #[test]

@@ -15,20 +15,28 @@
 //!   [`AggCore`] (the same packed-u64 fast path as the serial
 //!   operator); cores merge in worker-index order and emit sorted, so
 //!   grouped results are row-identical to the serial path;
-//! * **hash join** — workers build per-worker partition sets routed by
-//!   [`partition_of`]; partitions are [absorbed](BuildTable::absorb)
-//!   into one `BuildTable` (partition-major, worker-minor — the same
-//!   table layout the spill path consumes) and the probe side fans out
-//!   across morsels against the shared immutable table. Join output is
-//!   multiset-equal to the serial path; chain order inside a key may
-//!   reflect which worker claimed which morsel.
+//! * **hash join** — the join kind picks the build. `Semi` and `Anti`
+//!   only ask whether a key exists, so they [build a key
+//!   set](par_build_keys): each worker filters its claimed pages by a
+//!   selection vector (no filtered copy) and inserts only the selected
+//!   keys into a private set, and the sets merge by union. `Inner` and
+//!   `LeftOuter` read build rows, so workers build per-worker partition
+//!   sets routed by [`partition_of`]; partitions are
+//!   [absorbed](BuildTable::absorb) into one `BuildTable`
+//!   (partition-major, worker-minor — the same table layout the spill
+//!   path consumes). Either way the probe side fans out across morsels
+//!   against the shared immutable build through one probe kernel. Join
+//!   output is multiset-equal to the serial path; chain order inside a
+//!   key may reflect which worker claimed which morsel.
 //!
 //! [`ParallelConfig::default`] is one worker: every kernel then runs on
 //! the calling thread, claiming morsels in order — behaviour-identical
 //! to the sequential executor. The build path charges the query's
 //! [`MemoryBroker`] from all workers concurrently, which is safe
 //! because the broker's accounting is a single atomic compare-exchange
-//! per grant.
+//! per grant. A worker that panics fails the call with
+//! [`ExecError::WorkerPanicked`] instead of unwinding into the caller,
+//! and every byte a failed build charged is released.
 
 use crate::error::ExecError;
 use crate::expr::{Agg, Predicate, ScalarExpr};
@@ -39,10 +47,12 @@ use crate::ops::{default_row_bytes, int_key, key_of, KeyVal};
 use crate::plan::{JoinKind, PhysicalPlan};
 use crate::reference;
 use crate::vexpr::{CompiledExpr, CompiledPredicate, ExprScratch};
+use cordoba_core::FxHashSet;
 use cordoba_storage::{morsel_at, Catalog, Morsel, Page, PageBuilder, Schema, Table, Value};
 // std re-exports in normal builds; model-checked shims under
 // `--features model` (see tests/model_check.rs).
 use shuttle_lite::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Pages per claimed morsel when the config does not override it:
@@ -312,23 +322,75 @@ fn project_pages(
 /// Runs `f(worker_index)` on `workers` scoped threads (or inline for a
 /// single worker) and returns the results in worker-index order — the
 /// fixed merge order every deterministic sink relies on.
+///
+/// A worker that panics yields [`ExecError::WorkerPanicked`], so only
+/// the query fails; the other workers still run to completion.
 fn run_workers<T, F>(workers: usize, f: F) -> Result<Vec<T>, ExecError>
 where
     T: Send,
     F: Fn(usize) -> Result<T, ExecError> + Sync,
 {
     if workers <= 1 {
-        return Ok(vec![f(0)?]);
+        let one = catch_unwind(AssertUnwindSafe(|| f(0)));
+        return one
+            .unwrap_or_else(|p| Err(ExecError::worker_panicked(p)))
+            .map(|t| vec![t]);
     }
     std::thread::scope(|scope| {
         let f = &f;
         let handles: Vec<_> = (0..workers).map(|w| scope.spawn(move || f(w))).collect();
         handles
             .into_iter()
-            // lint: allow(a worker panic must propagate; join is the propagation point)
-            .map(|h| h.join().expect("parallel worker panicked"))
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|p| Err(ExecError::worker_panicked(p)))
+            })
             .collect()
     })
+}
+
+/// Bytes granted from a broker on one build's behalf, released on drop
+/// unless [kept](Charge::keep) — so a build that errs or panics midway
+/// leaves the broker's accounting intact.
+#[derive(Debug)]
+struct Charge<'a> {
+    broker: &'a MemoryBroker,
+    bytes: usize,
+}
+
+impl<'a> Charge<'a> {
+    fn new(broker: &'a MemoryBroker) -> Self {
+        Charge { broker, bytes: 0 }
+    }
+
+    /// Charges `bytes` more. The thread kernels have no spill path, so
+    /// a refused grant falls back to a forced one — the peak still
+    /// records the overshoot honestly.
+    fn add(&mut self, bytes: usize) {
+        if !self.broker.try_grant(bytes) {
+            self.broker.grant(bytes);
+        }
+        self.bytes += bytes;
+    }
+
+    /// Grows the charge to `bytes` if it is below.
+    fn grow_to(&mut self, bytes: usize) {
+        if bytes > self.bytes {
+            self.add(bytes - self.bytes);
+        }
+    }
+
+    /// Hands the charged bytes to the caller, who now owns releasing
+    /// them.
+    fn keep(mut self) -> usize {
+        std::mem::take(&mut self.bytes)
+    }
+}
+
+impl Drop for Charge<'_> {
+    fn drop(&mut self) {
+        self.broker.release(self.bytes);
+    }
 }
 
 /// Runs a fused {filter | project}* pipeline over `pages` with
@@ -430,18 +492,11 @@ pub fn par_build(
         let mut pipe = WorkerPipeline::new(in_schema, stages)?;
         let mut tables: Vec<BuildTable> = (0..parts).map(|_| BuildTable::new(row_width)).collect();
         let mut keys: Vec<i64> = Vec::new();
-        let mut granted = 0usize;
+        let mut charge = Charge::new(broker);
         while let Some((_, m)) = dispenser.claim() {
             for page in pipe.run_pages(pages[m.start..m.end].to_vec()) {
-                // Account the arena growth before buffering it. The
-                // thread kernels have no spill path, so a refused grant
-                // falls back to a forced one — the peak still records
-                // the overshoot honestly.
-                let bytes = page.byte_len();
-                if !broker.try_grant(bytes) {
-                    broker.grant(bytes);
-                }
-                granted += bytes;
+                // Account the arena growth before buffering it.
+                charge.add(page.byte_len());
                 if parts == 1 {
                     tables[0].insert_page(&page, key_col);
                 } else {
@@ -452,15 +507,11 @@ pub fn par_build(
                 }
             }
         }
-        Ok((tables, granted))
+        Ok((tables, charge))
     })?;
+    let (mut per_worker, charges): (Vec<Vec<BuildTable>>, Vec<Charge<'_>>) =
+        results.into_iter().unzip();
     let mut table = BuildTable::new(row_width);
-    let mut granted_total = 0usize;
-    let mut per_worker: Vec<Vec<BuildTable>> = Vec::with_capacity(workers);
-    for (tables, granted) in results {
-        granted_total += granted;
-        per_worker.push(tables);
-    }
     for p in 0..parts {
         for worker_tables in &mut per_worker {
             table.absorb(std::mem::replace(
@@ -469,7 +520,105 @@ pub fn par_build(
             ));
         }
     }
-    Ok((table, granted_total))
+    Ok((table, charges.into_iter().map(Charge::keep).sum()))
+}
+
+/// Bytes a key set holds: one key plus one hash-table control byte per
+/// slot.
+fn key_set_bytes(keys: &FxHashSet<i64>) -> usize {
+    keys.capacity() * (std::mem::size_of::<i64>() + 1)
+}
+
+/// Parallel key-only hash-join build for the joins whose probe only
+/// asks whether a key exists (`Semi`, `Anti`). Each worker runs the
+/// chain's leading stages, applies its trailing filter as a selection
+/// vector on each claimed page (no filtered page copy), gathers the key
+/// column and inserts only the selected keys into a private set; the
+/// sets merge by union, largest first. No build row is copied. Key-set
+/// bytes are charged to `broker`; the caller owns releasing the
+/// returned grant once the probe is done.
+pub fn par_build_keys(
+    pages: &[Arc<Page>],
+    in_schema: &Arc<Schema>,
+    stages: &[StageSpec],
+    key_col: usize,
+    cfg: &ParallelConfig,
+    broker: &MemoryBroker,
+) -> Result<(FxHashSet<i64>, usize), ExecError> {
+    int_key(
+        "parallel hash join build",
+        &stages_out_schema(in_schema, stages),
+        key_col,
+    )?;
+    let (lead, filter) = match stages.split_last() {
+        Some((StageSpec::Filter(pred), lead)) => (lead, Some(pred)),
+        _ => (stages, None),
+    };
+    let lead_out = stages_out_schema(in_schema, lead);
+    let dispenser = MorselDispenser::new(pages.len(), cfg.morsel_pages);
+    let mut sets = run_workers(cfg.effective_workers(), |_| {
+        let mut pipe = WorkerPipeline::new(in_schema, lead)?;
+        let filter = filter
+            .map(|p| CompiledPredicate::compile(p, &lead_out))
+            .transpose()?;
+        let (mut scratch, mut sel, mut keys) = (ExprScratch::default(), Vec::new(), Vec::new());
+        let mut set = FxHashSet::default();
+        let mut charge = Charge::new(broker);
+        while let Some((_, m)) = dispenser.claim() {
+            for page in pipe.run_pages(pages[m.start..m.end].to_vec()) {
+                page.gather_i64(key_col, &mut keys);
+                match &filter {
+                    Some(pred) => {
+                        pred.select(&page, &mut scratch, &mut sel);
+                        set.extend(sel.iter().map(|&r| keys[r as usize]));
+                    }
+                    None => set.extend(keys.iter().copied()),
+                }
+                charge.grow_to(key_set_bytes(&set));
+            }
+        }
+        Ok((set, charge))
+    })?;
+    sets.sort_by_key(|(set, _)| std::cmp::Reverse(set.len()));
+    let mut sets = sets.into_iter();
+    let Some((mut keys, mut charge)) = sets.next() else {
+        return Ok((FxHashSet::default(), 0));
+    };
+    // Each absorbed set (and its charge) drops as soon as it is merged.
+    for (other, _) in sets {
+        keys.extend(other);
+        charge.grow_to(key_set_bytes(&keys));
+    }
+    Ok((keys, charge.keep()))
+}
+
+/// What a probe row is joined against.
+#[derive(Clone, Copy)]
+enum BuildSide<'a> {
+    /// The rows of an `Inner` / `LeftOuter` build.
+    Rows(&'a BuildTable),
+    /// The key set of a `Semi` / `Anti` build; it carries no rows, so
+    /// only those two kinds may probe it.
+    Keys(&'a FxHashSet<i64>),
+}
+
+impl<'a> BuildSide<'a> {
+    fn contains(self, key: i64) -> bool {
+        match self {
+            BuildSide::Rows(table) => table.contains(key),
+            BuildSide::Keys(keys) => keys.contains(&key),
+        }
+    }
+
+    /// The build rows matching `key`; a key set carries none.
+    fn matches(self, key: i64) -> impl Iterator<Item = &'a [u8]> {
+        match self {
+            BuildSide::Rows(table) => Some(table.matches(key)),
+            BuildSide::Keys(_) => None,
+        }
+        .into_iter()
+        .flatten()
+    }
 }
 
 /// Parallel probe of a shared immutable [`BuildTable`]: workers claim
@@ -480,6 +629,32 @@ pub fn par_build(
 #[allow(clippy::too_many_arguments)]
 pub fn par_probe(
     table: &BuildTable,
+    pages: &[Arc<Page>],
+    in_schema: &Arc<Schema>,
+    stages: &[StageSpec],
+    probe_key: usize,
+    kind: JoinKind,
+    build_schema: &Arc<Schema>,
+    out_schema: &Arc<Schema>,
+    cfg: &ParallelConfig,
+) -> Result<Vec<Arc<Page>>, ExecError> {
+    probe_side(
+        BuildSide::Rows(table),
+        pages,
+        in_schema,
+        stages,
+        probe_key,
+        kind,
+        build_schema,
+        out_schema,
+        cfg,
+    )
+}
+
+/// The probe kernel behind [`par_probe`] and the key-set join.
+#[allow(clippy::too_many_arguments)]
+fn probe_side(
+    side: BuildSide<'_>,
     pages: &[Arc<Page>],
     in_schema: &Arc<Schema>,
     stages: &[StageSpec],
@@ -505,7 +680,7 @@ pub fn par_probe(
                 for (probe_raw, &key) in page.raw_rows().zip(&keys) {
                     probe_one(
                         kind,
-                        table,
+                        side,
                         key,
                         probe_raw,
                         &build_defaults,
@@ -529,7 +704,7 @@ pub fn par_probe(
 /// Joins one probe row, mirroring the serial operator's semantics.
 fn probe_one(
     kind: JoinKind,
-    table: &BuildTable,
+    side: BuildSide<'_>,
     key: i64,
     probe_raw: &[u8],
     build_defaults: &[u8],
@@ -549,22 +724,22 @@ fn probe_one(
     }
     match kind {
         JoinKind::Inner => {
-            for build_raw in table.matches(key) {
+            for build_raw in side.matches(key) {
                 emit(builder, out, probe_raw, build_raw);
             }
         }
         JoinKind::Semi => {
-            if table.contains(key) {
+            if side.contains(key) {
                 emit(builder, out, probe_raw, &[]);
             }
         }
         JoinKind::Anti => {
-            if !table.contains(key) {
+            if !side.contains(key) {
                 emit(builder, out, probe_raw, &[]);
             }
         }
         JoinKind::LeftOuter => {
-            let mut m = table.matches(key).peekable();
+            let mut m = side.matches(key).peekable();
             if m.peek().is_none() {
                 emit(builder, out, probe_raw, build_defaults);
             } else {
@@ -736,18 +911,31 @@ fn materialize(
             let (bpages, bschema, bstages) = lower_chain(catalog, build, cfg, broker, tmp)?;
             let (ppages, pschema, pstages) = lower_chain(catalog, probe, cfg, broker, tmp)?;
             let build_out = stages_out_schema(&bschema, &bstages);
-            let (table, granted) = par_build(&bpages, &bschema, &bstages, *build_key, cfg, broker)?;
-            let result = par_probe(
-                &table,
-                &ppages,
-                &pschema,
-                &pstages,
-                *probe_key,
-                *kind,
-                &build_out,
-                &out_schema,
-                cfg,
-            );
+            let probe = |side| {
+                probe_side(
+                    side,
+                    &ppages,
+                    &pschema,
+                    &pstages,
+                    *probe_key,
+                    *kind,
+                    &build_out,
+                    &out_schema,
+                    cfg,
+                )
+            };
+            let (result, granted) = match kind {
+                JoinKind::Semi | JoinKind::Anti => {
+                    let (keys, granted) =
+                        par_build_keys(&bpages, &bschema, &bstages, *build_key, cfg, broker)?;
+                    (probe(BuildSide::Keys(&keys)), granted)
+                }
+                JoinKind::Inner | JoinKind::LeftOuter => {
+                    let (table, granted) =
+                        par_build(&bpages, &bschema, &bstages, *build_key, cfg, broker)?;
+                    (probe(BuildSide::Rows(&table)), granted)
+                }
+            };
             broker.release(granted);
             Ok(Table::from_pages("__par_hash_join", out_schema, result?))
         }
@@ -978,21 +1166,54 @@ mod tests {
     #[test]
     fn join_build_charges_and_releases_the_broker() {
         let cat = catalog();
-        let plan = PhysicalPlan::HashJoin {
+        let join = |kind| PhysicalPlan::HashJoin {
             build: scan(),
             probe: scan(),
             build_key: 0,
             probe_key: 0,
-            kind: JoinKind::Semi,
+            kind,
             build_cost: OpCost::default(),
             probe_cost: OpCost::default(),
         };
-        let broker = MemoryBroker::unbounded();
-        let got = execute_plan_with_broker(&cat, &plan, &ParallelConfig::with_workers(4), &broker)
-            .expect("runs");
+        let cfg = ParallelConfig::with_workers(4);
+        let semi = MemoryBroker::unbounded();
+        let got = execute_plan_with_broker(&cat, &join(JoinKind::Semi), &cfg, &semi).expect("runs");
         assert_eq!(got.len(), 3000);
-        assert!(broker.peak() > 0, "build memory was tracked");
-        assert_eq!(broker.used(), 0, "build memory fully released");
+        assert!(semi.peak() > 0, "build memory was tracked");
+        assert_eq!(semi.used(), 0, "build memory fully released");
+        // The same build as full rows: the key set must cost less.
+        let inner = MemoryBroker::unbounded();
+        execute_table(&cat, &join(JoinKind::Inner), &cfg, &inner).expect("runs");
+        assert_eq!(inner.used(), 0, "build memory fully released");
+        assert!(
+            semi.peak() < inner.peak(),
+            "key-set peak {} vs row-build peak {}",
+            semi.peak(),
+            inner.peak()
+        );
+    }
+
+    #[test]
+    fn a_panicking_worker_fails_the_call_and_releases_its_charges() {
+        for workers in [1, 4] {
+            let broker = MemoryBroker::unbounded();
+            let got = run_workers(workers, |w| {
+                let mut charge = Charge::new(&broker);
+                charge.add(100);
+                if w == workers / 2 {
+                    panic!("worker {w} fell over");
+                }
+                Ok(charge)
+            });
+            match got {
+                Err(ExecError::WorkerPanicked { detail }) => {
+                    assert!(detail.contains("fell over"), "{detail}")
+                }
+                other => panic!("workers={workers}: expected a typed error, got {other:?}"),
+            }
+            assert!(broker.peak() >= 100, "the charges were made");
+            assert_eq!(broker.used(), 0, "workers={workers}: every charge released");
+        }
     }
 
     #[test]

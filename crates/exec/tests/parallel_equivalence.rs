@@ -10,10 +10,11 @@
 //!   per-worker partial aggregates merge in worker-index order, which
 //!   is bit-exact here because the float payloads are integer-valued
 //!   (exact under f64 addition in any order);
-//! * the **real-thread** executor (`cordoba_exec::parallel`): joins are
-//!   compared as sorted multisets (partitioned builds legitimately
-//!   reorder output), including under a two-page memory budget so the
-//!   partition-spill machinery runs underneath the parallel probe.
+//! * the **real-thread** executor (`cordoba_exec::parallel`): joins of
+//!   every kind are compared as sorted multisets (partitioned builds
+//!   legitimately reorder output), unbudgeted and under a two-page
+//!   memory budget, whose refused grants the thread kernels absorb as
+//!   forced ones.
 
 use cordoba_exec::expr::{Agg, CmpOp, Predicate, ScalarExpr};
 use cordoba_exec::wiring::{self, WiringConfig};
@@ -228,39 +229,49 @@ proptest! {
         }
     }
 
-    /// The real-thread morsel executor (partitioned build, parallel
-    /// probe) matches the reference as a multiset at every worker
-    /// count, with and without a broker budget underneath.
+    /// The real-thread morsel executor matches the reference as a
+    /// multiset for every join kind and worker count, with and without
+    /// a broker budget underneath. The build side is filtered, so the
+    /// key-set build (`Semi`/`Anti`) runs its selection-vector path and
+    /// the row build (`Inner`/`LeftOuter`) its filtered pipeline.
     #[test]
     fn threaded_executor_matches_reference(
         left in kv_rows(400),
         right in kv_rows(400),
+        cutoff in -1000i64..1000,
     ) {
         let catalog = kv_catalog(&left, &right);
-        let plan = PhysicalPlan::HashJoin {
-            build: scan("r"),
-            probe: scan("l"),
-            build_key: 0,
-            probe_key: 0,
-            kind: JoinKind::Inner,
-            build_cost: OpCost::default(),
-            probe_cost: OpCost::default(),
-        };
-        let oracle = reference::canonicalize(reference::execute(&catalog, &plan));
-        for workers in [1usize, 2, 4, 8] {
-            let cfg = ParallelConfig::with_workers(workers);
-            let unbounded = parallel::execute_plan(&catalog, &plan, &cfg).expect("join runs");
-            prop_assert_eq!(
-                &reference::canonicalize(unbounded), &oracle,
-                "workers={}", workers
-            );
-            let broker = MemoryBroker::with_budget(2 * PAGE_SIZE);
-            let budgeted = parallel::execute_plan_with_broker(&catalog, &plan, &cfg, &broker)
-                .expect("join runs under budget");
-            prop_assert_eq!(
-                &reference::canonicalize(budgeted), &oracle,
-                "workers={} (budgeted)", workers
-            );
+        for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti, JoinKind::LeftOuter] {
+            let plan = PhysicalPlan::HashJoin {
+                build: Box::new(PhysicalPlan::Filter {
+                    input: scan("r"),
+                    predicate: Predicate::col_cmp(1, CmpOp::Lt, cutoff),
+                    cost: OpCost::default(),
+                }),
+                probe: scan("l"),
+                build_key: 0,
+                probe_key: 0,
+                kind,
+                build_cost: OpCost::default(),
+                probe_cost: OpCost::default(),
+            };
+            let oracle = reference::canonicalize(reference::execute(&catalog, &plan));
+            for workers in [1usize, 2, 4, 8] {
+                let cfg = ParallelConfig::with_workers(workers);
+                let unbounded = parallel::execute_plan(&catalog, &plan, &cfg).expect("join runs");
+                prop_assert_eq!(
+                    &reference::canonicalize(unbounded), &oracle,
+                    "workers={} kind={:?}", workers, kind
+                );
+                let broker = MemoryBroker::with_budget(2 * PAGE_SIZE);
+                let budgeted = parallel::execute_plan_with_broker(&catalog, &plan, &cfg, &broker)
+                    .expect("join runs under budget");
+                prop_assert_eq!(
+                    &reference::canonicalize(budgeted), &oracle,
+                    "workers={} kind={:?} (budgeted)", workers, kind
+                );
+                prop_assert_eq!(broker.used(), 0, "workers={} kind={:?}", workers, kind);
+            }
         }
     }
 
